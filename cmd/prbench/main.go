@@ -9,19 +9,20 @@
 //
 //	prbench -sweep -minscale 16 -maxscale 20
 //
-// Distributed run with communication accounting — simulated (default),
-// real goroutine ranks, or both cross-checked against each other:
+// Distributed run with communication accounting — goroutine ranks
+// (default), socket worker processes, or both cross-checked against each
+// other:
 //
 //	prbench -scale 16 -procs 8
-//	prbench -scale 16 -procs 8 -distmode goroutine
-//	prbench -scale 16 -procs 8 -distmode both
+//	prbench -scale 16 -procs 8 -distmode socket
+//	prbench -scale 16 -procs 8 -distmode all
 //
 // Out-of-core distributed kernel 1 (-runedges bounds each rank's run
 // buffer; it composes with -distmode, and with -variant distext|extsort
 // for pipeline runs):
 //
 //	prbench -scale 16 -procs 8 -runedges 65536
-//	prbench -scale 16 -procs 8 -runedges 65536 -distmode both
+//	prbench -scale 16 -procs 8 -runedges 65536 -distmode all
 //	prbench -scale 16 -variant distext -runedges 65536
 //
 // Wall-clock scaling of the goroutine-rank runtime across processor
@@ -48,9 +49,9 @@
 // the kill between the chunk write and the commit, manufacturing the
 // torn epoch the loader must skip:
 //
-//	prbench -scale 14 -variant distgo -checkpoint-every 3
-//	prbench -scale 14 -variant distgo -checkpoint-every 3 -inject-fault 1@7
-//	prbench -scale 14 -variant distgo -checkpoint-every 3 -inject-fault 1@6@ckpt
+//	prbench -scale 14 -variant dist -checkpoint-every 3
+//	prbench -scale 14 -variant dist -checkpoint-every 3 -inject-fault 1@7
+//	prbench -scale 14 -variant dist -checkpoint-every 3 -inject-fault 1@6@ckpt
 //
 // Staged-artifact-cache ablation: -cachesweep runs every variant cold
 // then warm against a fresh service and tabulates the wall-clock
@@ -64,7 +65,7 @@
 // and -cachesweep; schema documented in the README, archived as
 // BENCH_*.json by CI):
 //
-//	prbench -scale 14 -variant distgo -rankworkers 4 -json
+//	prbench -scale 14 -variant dist -rankworkers 4 -json
 //	prbench -scale 16 -cachesweep -json
 //
 // Hardware-model predictions for the paper's platform:
@@ -116,7 +117,7 @@ func main() {
 		maxScale    = flag.Int("maxscale", 18, "sweep: largest scale")
 		procs       = flag.Int("procs", 0, "run the distributed pipeline on this many processors (ranks)")
 		runEdges    = flag.Int("runedges", 0, "out-of-core run-buffer size in edges (extsort/distext variants; with -procs runs the out-of-core distributed sort)")
-		distMode    = flag.String("distmode", "", "distributed execution: sim, goroutine or socket (empty = variant default); with -procs also 'both' (sim vs goroutine) or 'all' (every mode) to cross-check")
+		distMode    = flag.String("distmode", "", "distributed execution: goroutine or socket (empty = goroutine); with -procs also 'all' (goroutine vs socket) to cross-check")
 		procSweep   = flag.String("procsweep", "", "comma-separated rank counts for a goroutine-mode wall-clock scaling table")
 		rankWorkers = flag.String("rankworkers", "1", "hybrid intra-rank worker goroutines per rank; a comma list crosses with -procsweep into a p×w table")
 		predict     = flag.Bool("predict", false, "print hardware-model predictions and exit")
@@ -205,10 +206,10 @@ func main() {
 		}
 		return
 	}
-	if *distMode == "both" || *distMode == "all" {
-		// "both"/"all" are the cross-check spellings of the direct -procs
-		// runner; a pipeline run executes one variant in one mode.
-		fatal(fmt.Errorf("-distmode %s requires -procs; use -distmode sim, goroutine or socket with -variant", *distMode))
+	if *distMode == "all" {
+		// "all" is the cross-check spelling of the direct -procs runner;
+		// a pipeline run executes one variant in one mode.
+		fatal(fmt.Errorf("-distmode all requires -procs; use -distmode goroutine or socket with -variant"))
 	}
 	if *sweep {
 		if *jsonOut {
@@ -496,7 +497,7 @@ func runSweep(ctx context.Context, minScale, maxScale, edgeFactor int, seed uint
 	// The figure sweep measures kernel 0 per variant, so its service
 	// runs with the generator cache disabled: a cached edge list would
 	// turn the reported K0 edges/second into a cache fetch.
-	svc := core.NewService(core.WithCacheCapacity(0), core.WithMaxConcurrent(1))
+	svc := core.NewService(core.WithCacheBudget(0), core.WithMaxConcurrent(1))
 	defer svc.Close()
 	variants := core.Variants()
 	if variant != "all" && variant != "" {
@@ -848,18 +849,13 @@ func runDistributed(ctx context.Context, svc *core.Service, scale, edgeFactor in
 	}
 	n := 1 << uint(scale)
 	opt := pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling, Seed: seed}
-	modes := []dist.ExecMode{}
-	switch mode {
-	case "both":
-		modes = append(modes, dist.ExecSim, dist.ExecGoroutine)
-	case "all":
-		modes = append(modes, dist.ExecSim, dist.ExecGoroutine, dist.ExecSocket)
-	default:
+	modes := []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket}
+	if mode != "all" {
 		m, err := dist.ParseExecMode(mode)
 		if err != nil {
 			return err
 		}
-		modes = append(modes, m)
+		modes = []dist.ExecMode{m}
 	}
 	if runEdges > 0 {
 		if err := runExternalSort(ctx, l, procs, runEdges, modes); err != nil {
@@ -986,7 +982,7 @@ func runProcSweep(ctx context.Context, svc *core.Service, scale, edgeFactor int,
 			}
 			opt := pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling, Seed: seed}
 			out, err := dist.Execute(ctx, dist.Spec{
-				Config: dist.Config{Mode: dist.ExecGoroutine, Workers: rw},
+				Config: dist.Config{Workers: rw},
 				Op:     dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt,
 			})
 			if err != nil {
@@ -1020,7 +1016,7 @@ func runProcSweep(ctx context.Context, svc *core.Service, scale, edgeFactor int,
 	emit(t, format)
 	st := svc.Stats()
 	fmt.Printf("generator cache: %d hits, %d misses — the sweep's graph was generated once, not once per cell\n",
-		st.CacheHits, st.CacheMisses)
+		st.CacheEdges.Hits, st.CacheEdges.Misses)
 	return nil
 }
 

@@ -1,11 +1,11 @@
 // Command prreport regenerates the paper's whole evaluation section in one
 // run: Table II, a figure sweep across all implementation variants, the
 // correctness-validation suite, the hardware-model predictions, and the
-// distributed communication check — both execution modes cross-checked
-// bit-for-bit against each other and against the closed-form byte model,
-// the out-of-core distributed sort checked against the serial sort and
-// the in-memory sort's communication record, plus a goroutine-rank
-// wall-clock scaling table — emitted as a single markdown report.
+// distributed check — goroutine ranks against the serial reference and
+// the closed-form byte model, the out-of-core distributed sort on both
+// fabrics against the serial sort and the in-memory sort's communication
+// record, plus a goroutine-rank wall-clock scaling table — emitted as a
+// single markdown report.
 //
 //	prreport -minscale 12 -maxscale 14 > report.md
 //
@@ -17,6 +17,7 @@ import (
 	"context"
 	"flag"
 	"fmt"
+	"math"
 	"os"
 
 	"repro/internal/core"
@@ -27,6 +28,7 @@ import (
 	"repro/internal/perfmodel"
 	"repro/internal/pipeline"
 	"repro/internal/results"
+	"repro/internal/sparse"
 	"repro/internal/xsort"
 )
 
@@ -35,7 +37,7 @@ func main() {
 		minScale = flag.Int("minscale", 12, "sweep: smallest scale")
 		maxScale = flag.Int("maxscale", 14, "sweep: largest scale")
 		seed     = flag.Uint64("seed", 1, "random seed")
-		procs    = flag.Int("procs", 4, "distributed simulation processor count")
+		procs    = flag.Int("procs", 4, "distributed rank count")
 	)
 	flag.Parse()
 
@@ -63,7 +65,7 @@ func tableII() {
 func figures(minScale, maxScale int, seed uint64) {
 	// Like prbench -sweep: the per-variant kernel-0 measurement must
 	// actually generate, so this service's cache is disabled.
-	svc := core.NewService(core.WithCacheCapacity(0), core.WithMaxConcurrent(1))
+	svc := core.NewService(core.WithCacheBudget(0), core.WithMaxConcurrent(1))
 	defer svc.Close()
 	titles := [4]string{
 		"Figure 4 — kernel 0 (generate)",
@@ -132,7 +134,7 @@ func predictions() {
 }
 
 func distributed(seed uint64, procs int) {
-	fmt.Println("## Distributed execution (simulated and goroutine ranks)")
+	fmt.Println("## Distributed execution (goroutine ranks)")
 	fmt.Println()
 	kcfg := kronecker.New(12, seed)
 	l, err := kronecker.Generate(kcfg)
@@ -140,44 +142,46 @@ func distributed(seed uint64, procs int) {
 		fatal(err)
 	}
 	n := int(kcfg.N())
-	runMode := func(mode dist.ExecMode) *dist.Result {
-		out, err := dist.Execute(context.Background(), dist.Spec{
-			Config: dist.Config{Mode: mode}, Op: dist.OpRun,
-			Edges: l, N: n, Procs: procs, PageRank: pagerank.Options{Seed: seed},
-		})
-		if err != nil {
-			fatal(err)
-		}
-		return out.Run
+	opt := pagerank.Options{Seed: seed}
+	out, err := dist.Execute(context.Background(), dist.Spec{
+		Op: dist.OpRun, Edges: l, N: n, Procs: procs, PageRank: opt,
+	})
+	if err != nil {
+		fatal(err)
 	}
-	sim := runMode(dist.ExecSim)
-	real := runMode(dist.ExecGoroutine)
-	predicted := dist.PredictedCommBytes(n, procs, pagerank.DefaultIterations, false)
+	res := out.Run
+	// The serial reference: kernel 2 and the scatter engine on one node.
+	a, err := sparse.FromEdges(l, n)
+	if err != nil {
+		fatal(err)
+	}
+	pipeline.ApplyKernel2Filter(a)
+	want, err := pagerank.Scatter(a, opt)
+	if err != nil {
+		fatal(err)
+	}
+	maxDiff := 0.0
+	for i := range want.Rank {
+		maxDiff = math.Max(maxDiff, math.Abs(res.Rank[i]-want.Rank[i]))
+	}
+	measured := res.Comm.AllReduceBytes + res.Comm.BroadcastBytes
+	predicted := dist.PredictedCommBytes(n, procs, res.Iterations, false)
 	fmt.Printf("- processors: %d\n", procs)
-	fmt.Printf("- all-reduce calls: %d, broadcast calls: %d\n", sim.Comm.AllReduceCalls, sim.Comm.BroadcastCalls)
-	fmt.Printf("- simulated communication: %d bytes\n", sim.Comm.AllReduceBytes+sim.Comm.BroadcastBytes)
-	fmt.Printf("- goroutine channel bytes: %d\n", real.Comm.AllReduceBytes+real.Comm.BroadcastBytes)
-	fmt.Printf("- closed-form prediction: %d bytes (all three must match exactly)\n", predicted)
-	match := sim.Comm == real.Comm && sim.Comm.AllReduceBytes+sim.Comm.BroadcastBytes == predicted
-	bitwise := len(sim.Rank) == len(real.Rank)
-	if bitwise {
-		for i := range sim.Rank {
-			if real.Rank[i] != sim.Rank[i] {
-				bitwise = false
-				break
-			}
-		}
-	}
-	fmt.Printf("- bytes match: %v, rank vectors bit-for-bit: %v\n\n", match, bitwise)
-	if !match || !bitwise {
-		fatal(fmt.Errorf("goroutine runtime diverges from the simulation or the closed-form model"))
+	fmt.Printf("- all-reduce calls: %d, broadcast calls: %d\n", res.Comm.AllReduceCalls, res.Comm.BroadcastCalls)
+	fmt.Printf("- goroutine channel bytes: %d\n", measured)
+	fmt.Printf("- closed-form prediction: %d bytes (the two must match exactly)\n", predicted)
+	match := measured == predicted
+	agree := res.NNZ == a.NNZ() && maxDiff <= 1e-9
+	fmt.Printf("- bytes match: %v, max |rank - serial rank| = %.2g (tolerance 1e-9)\n\n", match, maxDiff)
+	if !match || !agree {
+		fatal(fmt.Errorf("goroutine ranks diverge from the serial reference or the closed-form model"))
 	}
 	outOfCore(l, procs)
 	scaling(l, n, seed)
 }
 
 // outOfCore cross-checks the out-of-core distributed kernel 1: both
-// execution modes against the serial stable radix sort bit for bit, the
+// fabrics against the serial stable radix sort bit for bit, the
 // communication record against the in-memory distributed sort, and the
 // spill volume against the 16-bytes-per-edge round trip the parallel
 // hardware model prices.
@@ -192,7 +196,7 @@ func outOfCore(l *edge.List, procs int) {
 	}
 	inMem := inMemOut.Sort
 	runEdges := l.Len()/(3*procs) + 1 // force ~3 spilled runs per rank
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket} {
 		out, err := dist.Execute(context.Background(), dist.Spec{
 			Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal,
 			Edges: l, Procs: procs, Ext: dist.ExtSortConfig{RunEdges: runEdges},
@@ -214,13 +218,12 @@ func outOfCore(l *edge.List, procs int) {
 		fmt.Printf("- %v: %d runs spilled (%d-edge buffers), %d bytes written + %d read back, all-to-all %d bytes\n",
 			mode, totalRuns, runEdges, res.Spill.BytesWritten, res.Spill.BytesRead, res.Comm.AllToAllBytes)
 	}
-	fmt.Println("- both modes bit-for-bit equal to the serial sort; comm records equal the in-memory sample sort's")
+	fmt.Println("- both fabrics bit-for-bit equal to the serial sort; comm records equal the in-memory sample sort's")
 	fmt.Println()
 }
 
 // scaling tabulates the goroutine runtime's wall-clock across rank counts
-// against the parallel hardware model — the validation of the simulated
-// comm schedule against real concurrent execution.
+// against the parallel hardware model.
 func scaling(l *edge.List, n int, seed uint64) {
 	fmt.Println("### Goroutine-rank wall-clock scaling")
 	fmt.Println()
@@ -230,8 +233,7 @@ func scaling(l *edge.List, n int, seed uint64) {
 	base := 0.0
 	for _, p := range []int{1, 2, 4, 8} {
 		out, err := dist.Execute(context.Background(), dist.Spec{
-			Config: dist.Config{Mode: dist.ExecGoroutine}, Op: dist.OpRun,
-			Edges: l, N: n, Procs: p, PageRank: pagerank.Options{Seed: seed},
+			Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: pagerank.Options{Seed: seed},
 		})
 		if err != nil {
 			fatal(err)

@@ -3,10 +3,10 @@
 //
 // Four scenes:
 //
-//  1. Fan-in: eight concurrent runs of the same graph through different
+//  1. Fan-in: seven concurrent runs of the same graph through different
 //     variants.  The service's staged artifact cache singleflights the
-//     shared kernel-2 matrix: one run computes it, the other seven join
-//     the in-flight fill (1 miss, 7 hits) while the admission queue
+//     shared kernel-2 matrix: one run computes it, the other six join
+//     the in-flight fill (1 miss, 6 hits) while the admission queue
 //     caps how many execute at a time.
 //
 //  2. Warm run: the same configuration again is served straight from
@@ -18,7 +18,7 @@
 //     kernel-3 ticks instead of "wait for the whole Result".
 //
 //  4. Cancellation: a run cancelled mid-kernel-3 returns
-//     context.Canceled promptly, in the goroutine-rank execution mode,
+//     context.Canceled promptly on the dist variant's goroutine ranks,
 //     with every rank goroutine torn down.
 //
 //     go run ./examples/service
@@ -40,13 +40,13 @@ func main() {
 	svc := core.NewService(core.WithMaxConcurrent(4))
 	defer svc.Close()
 
-	// --- Scene 1: eight concurrent runs, one computed matrix. ---------
+	// --- Scene 1: seven concurrent runs, one computed matrix. ---------
 	// ("parallel" is absent by design: it generates with per-worker jump
 	// streams — a different edge multiset per worker count — so it opts
 	// out of every cache stage.  extsort streams kernel 0 in bounded
 	// memory, skipping the list stages, but shares the canonical
 	// kernel-2 matrix like everyone else.)
-	variants := []string{"csr", "coo", "columnar", "distext", "graphblas", "dist", "distgo", "extsort"}
+	variants := []string{"csr", "coo", "columnar", "distext", "graphblas", "dist", "extsort"}
 	results := make([]*core.Result, len(variants))
 	var wg sync.WaitGroup
 	for i, v := range variants {
@@ -83,9 +83,9 @@ func main() {
 	fmt.Println()
 
 	// --- Scene 3: streaming progress (warm). --------------------------
-	fmt.Println("streaming one distgo run:")
+	fmt.Println("streaming one dist run:")
 	iterations := 0
-	for ev := range svc.RunStream(ctx, core.Config{Scale: 12, Seed: 7, Variant: "distgo"}) {
+	for ev := range svc.RunStream(ctx, core.Config{Scale: 12, Seed: 7, Variant: "dist"}) {
 		switch ev.Kind {
 		case core.EventRunStarted:
 			fmt.Println("  run started (cleared admission)")
@@ -107,7 +107,7 @@ func main() {
 	cctx, cancel := context.WithCancel(ctx)
 	defer cancel()
 	cfg := core.Config{
-		Scale: 12, Seed: 7, Variant: "distgo",
+		Scale: 12, Seed: 7, Variant: "dist",
 		PageRank: pagerank.Options{Iterations: 1000},
 	}
 	_, err = svc.Run(cctx, cfg, core.WithProgress(func(ev core.PipelineEvent) {

@@ -58,10 +58,10 @@ func main() {
 	n := int(cfg.N())
 	opt := pagerank.Options{Seed: 42, Iterations: 12, Dangling: true}
 
-	// The reference: the same schedule on goroutine ranks (in-process).
+	// The reference: the same rank program on goroutine ranks, the
+	// default fabric (in-process).
 	ref, err := dist.Execute(context.Background(), dist.Spec{
-		Config: dist.Config{Mode: dist.ExecGoroutine},
-		Op:     dist.OpRun, Edges: l, N: n, Procs: procs, PageRank: opt,
+		Op: dist.OpRun, Edges: l, N: n, Procs: procs, PageRank: opt,
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -10,9 +10,6 @@
 //     context.Background()/context.TODO() inside — it is swallowing the
 //     caller's cancellation and must accept a context instead.
 //
-// Deprecated functions are exempt: the pre-§8 wrappers intentionally
-// bridge old signatures onto Execute(ctx, …) under context.Background(),
-// and staticcheck's SA1019 already fences new callers away from them.
 // Test files are exempt throughout.
 package ctxfirst
 
@@ -30,7 +27,7 @@ var apiPkgs = map[string]bool{
 // Analyzer is the context-first checker.
 var Analyzer = &analysis.Analyzer{
 	Name: "ctxfirst",
-	Doc:  "DESIGN.md §8: exported API functions are context-first — ctx is the leading parameter, and no exported non-deprecated entrypoint fabricates its own background context",
+	Doc:  "DESIGN.md §8: exported API functions are context-first — ctx is the leading parameter, and no exported entrypoint fabricates its own background context",
 	Run:  run,
 }
 
@@ -44,7 +41,7 @@ func run(pass *analysis.Pass) error {
 		}
 		for _, decl := range f.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
-			if !ok || !exportedAPI(pass, fd) || analysis.IsDeprecated(fd.Doc) {
+			if !ok || !exportedAPI(pass, fd) {
 				continue
 			}
 			checkSignature(pass, fd)

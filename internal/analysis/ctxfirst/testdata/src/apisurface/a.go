@@ -27,19 +27,18 @@ func FireTODO(n int) error {
 	return runWith(context.TODO(), n) // want `exported serve.FireTODO passes a fabricated context downstream`
 }
 
+// A deprecated wrapper gets no exemption: it must take a context too.
+//
+// Deprecated: use Service.Run.
+func OldFire(n int) error {
+	return runWith(context.Background(), n) // want `exported serve.OldFire passes a fabricated context downstream`
+}
+
 // --- true negatives ---
 
 // Context first is the contract.
 func (s *Service) Run(ctx context.Context, n int) error {
 	return runWith(ctx, n)
-}
-
-// A deprecated wrapper may bridge onto Background: SA1019 fences new
-// callers away from it.
-//
-// Deprecated: use Service.Run.
-func OldFire(n int) error {
-	return runWith(context.Background(), n)
 }
 
 // The stored-context getter pattern returns (not passes) a default.

@@ -1,6 +1,6 @@
 // Package determinism enforces the bit-for-bit reproducibility contract
 // of DESIGN.md §3–§5: the kernels promise identical results for
-// identical inputs across runs, exec modes, rank counts and worker
+// identical inputs across runs, fabrics, rank counts and worker
 // counts, so the kernel packages must not consult any
 // nondeterministically ordered or time-varying source.
 //

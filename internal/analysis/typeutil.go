@@ -3,7 +3,6 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // NamedTypeName returns the name of t's (pointer-stripped) named type,
@@ -70,20 +69,6 @@ func IsContextType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Context" && obj.Pkg() != nil && obj.Pkg().Path() == "context"
-}
-
-// IsDeprecated reports whether doc carries a "Deprecated:" paragraph
-// per the standard Go convention.
-func IsDeprecated(doc *ast.CommentGroup) bool {
-	if doc == nil {
-		return false
-	}
-	for _, line := range strings.Split(doc.Text(), "\n") {
-		if strings.HasPrefix(strings.TrimSpace(line), "Deprecated:") {
-			return true
-		}
-	}
-	return false
 }
 
 // ObjectOf resolves an identifier to its object (definition or use).

@@ -1,14 +1,14 @@
 package core
 
 import (
+	"context"
 	"testing"
 
-	"repro/internal/kronecker"
 	"repro/internal/pagerank"
 )
 
 func TestRunFacade(t *testing.T) {
-	res, err := Run(Config{Scale: 7, EdgeFactor: 8, Seed: 1})
+	res, err := RunOnce(context.Background(), Config{Scale: 7, EdgeFactor: 8, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -23,7 +23,7 @@ func TestRunFacade(t *testing.T) {
 func TestRunKernelsFacade(t *testing.T) {
 	fs := NewMemFS()
 	cfg := Config{Scale: 6, Seed: 2, FS: fs}
-	if _, err := RunKernels(cfg, []Kernel{K0Generate, K1Sort}); err != nil {
+	if _, err := RunOnce(context.Background(), cfg, K0Generate, K1Sort); err != nil {
 		t.Fatal(err)
 	}
 	names, _ := fs.List()
@@ -47,15 +47,14 @@ func TestSizeTableFacade(t *testing.T) {
 }
 
 func TestDistributedRunFacade(t *testing.T) {
-	l, err := kronecker.Generate(kronecker.New(7, 3))
+	res, err := RunOnce(context.Background(), Config{
+		Scale: 7, Seed: 3, Variant: "dist", Workers: 2, KeepRank: true,
+		PageRank: PageRankOptions{Seed: 1},
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := DistributedRun(l, 1<<7, 2, pagerank.Options{Seed: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rank) != 1<<7 || res.Comm.AllReduceCalls == 0 {
+	if len(res.Rank) != 1<<7 || res.Comm == nil || res.Comm.AllReduceCalls == 0 {
 		t.Error("distributed facade incomplete result")
 	}
 }
@@ -75,35 +74,31 @@ func TestNewDirFSFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{Scale: 5, FS: d}
-	if _, err := Run(cfg); err != nil {
+	if _, err := RunOnce(context.Background(), cfg); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestDistributedRunModeFacade(t *testing.T) {
-	l, err := kronecker.Generate(kronecker.New(7, 3))
-	if err != nil {
-		t.Fatal(err)
+	run := func(mode string) *Result {
+		t.Helper()
+		res, err := RunOnce(context.Background(), Config{
+			Scale: 7, Seed: 3, Variant: "dist", Workers: 3, DistMode: mode, KeepRank: true,
+			PageRank: pagerank.Options{Seed: 1, Iterations: 4},
+		})
+		if err != nil {
+			t.Fatalf("%s: %v", mode, err)
+		}
+		return res
 	}
-	opt := pagerank.Options{Seed: 1, Iterations: 4}
-	sim, err := DistributedRunMode(ExecSim, l, 1<<7, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	real, err := DistributedRunMode(ExecGoroutine, l, 1<<7, 3, opt)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range sim.Rank {
-		if real.Rank[i] != sim.Rank[i] {
+	gor, sock := run(""), run("socket")
+	for i := range gor.Rank {
+		if sock.Rank[i] != gor.Rank[i] {
 			t.Fatalf("mode results differ at %d", i)
 		}
 	}
-	if real.Comm != sim.Comm {
-		t.Errorf("mode comm records differ: %+v vs %+v", real.Comm, sim.Comm)
-	}
-	if len(real.RankSeconds) != 3 {
-		t.Errorf("goroutine mode reported %d rank times", len(real.RankSeconds))
+	if *sock.Comm != *gor.Comm {
+		t.Errorf("mode comm records differ: %+v vs %+v", *sock.Comm, *gor.Comm)
 	}
 }
 
@@ -111,7 +106,10 @@ func TestConfigDistModeValidated(t *testing.T) {
 	if err := (Config{Scale: 6, DistMode: "mpi"}).Validate(); err == nil {
 		t.Error("unknown DistMode accepted")
 	}
-	if err := (Config{Scale: 6, Variant: "distgo", DistMode: "sim"}).Validate(); err != nil {
+	if err := (Config{Scale: 6, Variant: "dist", DistMode: "sim"}).Validate(); err == nil {
+		t.Error("retired DistMode sim accepted")
+	}
+	if err := (Config{Scale: 6, Variant: "dist", DistMode: "socket"}).Validate(); err != nil {
 		t.Errorf("valid DistMode rejected: %v", err)
 	}
 }

@@ -24,12 +24,11 @@ func testBlock(t testing.TB, p, r int) (*rankState, int) {
 		t.Fatal(err)
 	}
 	n := int(cfg.N())
-	c := &comm{p: p}
-	states, _, _, err := buildFiltered(context.Background(), l, n, p, c)
+	out, err := Execute(context.Background(), Spec{Op: OpBuildFiltered, Edges: l, N: n, Procs: p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return states[r], n
+	return splitMatrix(out.Build.Matrix, p)[r], n
 }
 
 func TestHybridStepZeroAllocs(t *testing.T) {
@@ -123,17 +122,18 @@ func TestGoroutineIterationSteadyStateAllocFree(t *testing.T) {
 		t.Fatal(err)
 	}
 	n := int(cfg.N())
-	b, err := BuildFiltered(l, n, 1)
+	b, err := Execute(context.Background(), Spec{Op: OpBuildFiltered, Edges: l, N: n, Procs: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	run := func(iters int) {
-		res, err := RunMatrixCfg(Config{Mode: ExecGoroutine, Workers: 2}, b.Matrix, 3,
-			pagerank.Options{Iterations: iters, Seed: 1, Dangling: true})
+		_, err := Execute(context.Background(), Spec{
+			Config: Config{Workers: 2}, Op: OpRunMatrix, Matrix: b.Build.Matrix, Procs: 3,
+			PageRank: pagerank.Options{Iterations: iters, Seed: 1, Dangling: true},
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		_ = res
 	}
 	const extra = 40
 	// testing.AllocsPerRun gives a clean malloc count per call; the

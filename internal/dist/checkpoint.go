@@ -86,17 +86,16 @@ func (cs CheckpointSpec) withDefaults() CheckpointSpec {
 // AtIteration completed update steps (counted globally, across a resume):
 // in the goroutine mode rank KillRank returns ErrFaultInjected from its
 // post-iteration hook, the teardown plane unwinds its peers, and Execute
-// returns ErrFaultInjected with no goroutine leaked; the simulation
-// aborts its single thread at the same boundary, so both modes leave
-// identical storage state.  When the boundary is also an epoch boundary
-// the epoch is committed first — unless DuringCheckpoint is set, which
-// kills the rank between its chunk write and the commit barrier,
-// manufacturing exactly the torn epoch the loader must skip.
+// returns ErrFaultInjected with no goroutine leaked; the socket mode
+// fails its worker at the same boundary.  When the boundary is also an
+// epoch boundary the epoch is committed first — unless DuringCheckpoint
+// is set, which kills the rank between its chunk write and the commit
+// barrier, manufacturing exactly the torn epoch the loader must skip.
 //
 // A FaultPlan describes one injection: the restarted run must not carry
 // it over, or the fault re-fires when the boundary is re-reached.
 type FaultPlan struct {
-	// KillRank is the goroutine rank brought down, in [0, Procs).
+	// KillRank is the rank brought down, in [0, Procs).
 	KillRank int
 	// AtIteration is the global completed-iteration count at whose
 	// boundary the fault fires (>= 1).
@@ -109,8 +108,8 @@ type FaultPlan struct {
 	// boundary instead of returning an error, so the coordinator observes
 	// a peer vanishing mid-run — the failure class checkpoint/restart
 	// exists for.  The run fails with the worker-death error rather than
-	// ErrFaultInjected.  Rejected in the sim and goroutine modes, which
-	// have no process to kill.
+	// ErrFaultInjected.  Rejected in the goroutine mode, which has no
+	// process to kill.
 	Hard bool
 }
 
@@ -357,41 +356,7 @@ func (ck *ckptRun) epochBoundary(g int64) bool {
 	return ck.enabled() && g%int64(ck.spec.Every) == 0
 }
 
-// afterSim builds the simulation's post-iteration hook: the single
-// driver writes every rank's chunk and the commit itself, then fires
-// any planned fault.  KillRank has no thread to kill in this mode; the
-// simulated run aborts at the same boundary with the same storage state
-// the goroutine mode leaves, which is what lets the property suite
-// exercise kill-and-resume identically in both modes.
-func (ck *ckptRun) afterSim(states []*rankState) func(int, []float64) error {
-	if ck == nil {
-		return nil
-	}
-	return func(it int, r []float64) error {
-		g := ck.base + int64(it)
-		if ck.epochBoundary(g) {
-			for rk, st := range states {
-				if err := ck.writeChunk(ck.chunkOf(g, r, rk, st.blk.lo, st.blk.hi)); err != nil {
-					return err
-				}
-			}
-			if ck.atFault(g) && ck.fault.DuringCheckpoint {
-				// Died after the chunks, before the commit: a torn epoch.
-				return ErrFaultInjected
-			}
-			if err := ck.writeCommit(g); err != nil {
-				return err
-			}
-			ck.commitNoted(g)
-		}
-		if ck.atFault(g) {
-			return ErrFaultInjected
-		}
-		return nil
-	}
-}
-
-// afterRank builds one goroutine rank's post-iteration hook.  All
+// afterRank builds one rank's post-iteration hook.  All
 // replicas step in lockstep, so every rank reaches an epoch boundary
 // together: each writes its own chunk, an agreeError barrier proves all
 // chunks landed, rank 0 writes the commit, and a second barrier

@@ -1,9 +1,9 @@
 package dist
 
 // The goroutine fabric: typed point-to-point channels between p concurrent
-// ranks, and the collective layer built on them.  This is the real
-// counterpart of the simulated comm in dist.go; DESIGN.md §5 is the
-// normative statement of the contract implemented here.
+// ranks, and the collective layer built on them (every fabric, the socket
+// one included, speaks through it).  DESIGN.md §5 is the normative
+// statement of the contract implemented here.
 //
 // Message-passing contract (summary of DESIGN.md §5):
 //
@@ -12,9 +12,9 @@ package dist
 //     There is no global ordering between links.
 //   - Collectives are bulk-synchronous and rooted at rank 0: a reduction
 //     receives contributions in ascending rank order and combines them in
-//     that order, which pins the floating-point association to the
-//     simulation's (rank-ordered) sum — the source of the bit-for-bit
-//     equality between the two runtimes.
+//     that order, which pins the floating-point association to one
+//     rank-ordered sum — the source of the bit-for-bit equality between
+//     the fabrics and across Workers.
 //   - Every rank executes the same schedule of collectives in the same
 //     program order; sends within a collective precede receives.  Link
 //     buffering (linkBuf) covers the bounded number of sends a rank can
@@ -31,10 +31,9 @@ package dist
 //     release it back to the pool once the payload is consumed
 //     (DESIGN.md §7 amends the §5 contract with these rules).
 //   - Byte accounting is sender-side: each rank meters the payload bytes
-//     it puts on the wire, using the same wire-cost formulas as the
-//     simulation (dist.go), and the driver sums the per-rank records.
-//     Measured channel bytes therefore equal the simulation's metered
-//     bytes and PredictedCommBytes identically.
+//     it puts on the wire, using the wire-cost formulas of dist.go, and
+//     the driver sums the per-rank records.  Measured channel bytes
+//     therefore equal PredictedCommBytes identically.
 
 import (
 	"fmt"
@@ -309,7 +308,7 @@ func (c *rankComm) recvString(src int) string {
 // allReduceSum leaves the rank-ordered global sum of the ranks' partial
 // vectors in vec on every rank: non-roots send their partial to rank 0,
 // the root accumulates the contributions in ascending rank order (its own
-// partial first — the association the simulation uses), then redistributes
+// partial first — the association every fabric shares), then redistributes
 // the result.  Wire volume is 2·8·len·(p-1), charged half to the gathering
 // senders and half to the root's redistribution.
 // allReduceSum is the kernel-3 steady-state hot path, so every payload
@@ -421,8 +420,8 @@ func (c *rankComm) broadcastKeys(keys []uint64) []uint64 {
 }
 
 // gatherKeys collects every rank's key slice at rank 0 in ascending rank
-// order (the sort's sample gather); non-roots get nil back.  Like the
-// simulation, the personalized sends are metered as all-to-all traffic.
+// order (the sort's sample gather); non-roots get nil back.  The
+// personalized sends are metered as all-to-all traffic.
 func (c *rankComm) gatherKeys(keys []uint64) [][]uint64 {
 	p := c.procs()
 	if p == 1 {
@@ -452,7 +451,7 @@ func (c *rankComm) gatherKeys(keys []uint64) [][]uint64 {
 // whole team at a schedule point instead of stranding its peers inside a
 // later collective; every rank returns a non-nil error, its own first.
 // Control traffic is deliberately unmetered — CommStats records the data
-// plane the §V model prices, and the simulation needs no barrier at all.
+// plane the §V model prices.
 func (c *rankComm) agreeError(local error) error {
 	p := c.procs()
 	if p == 1 {

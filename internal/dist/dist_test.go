@@ -1,12 +1,15 @@
 package dist_test
 
-// Property tests for the simulated distributed runtime: for every
-// processor count the distributed sort must equal the serial stable radix
-// sort bit for bit, the distributed pipeline must match the serial
-// reference, and the measured collective traffic must equal the
-// closed-form model exactly.
+// Property tests for the distributed runtime against the independent
+// oracles: for every processor count the distributed sort must equal the
+// serial stable radix sort bit for bit, the distributed kernel 2 must
+// equal the serial kernel 2 bit for bit, the distributed pipeline must
+// match the serial PageRank engines, and the measured collective traffic
+// must equal the closed-form model exactly.  (The all-to-all volume has
+// its own oracle in alltoall_internal_test.go.)
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -16,12 +19,77 @@ import (
 	"repro/internal/pagerank"
 	"repro/internal/pipeline"
 	"repro/internal/sparse"
+	"repro/internal/xsort"
 )
 
 // procCounts includes p = 1 (degenerate), a p that does not divide
 // typical sizes, and p = 8 (larger than the distinct-start-vertex count
 // of the crafted inputs below).
 var procCounts = []int{1, 2, 3, 5, 8}
+
+// The typed shorthands below run one op through dist.Execute under a
+// background context and return that op's result.
+
+func runOp(cfg dist.Config, l *edge.List, n, p int, opt pagerank.Options) (*dist.Result, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt})
+	if err != nil {
+		return nil, err
+	}
+	return out.Run, nil
+}
+
+func runMatrixOp(cfg dist.Config, a *sparse.CSR, p int, opt pagerank.Options) (*dist.Result, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpRunMatrix, Matrix: a, Procs: p, PageRank: opt})
+	if err != nil {
+		return nil, err
+	}
+	return out.Run, nil
+}
+
+func buildOp(cfg dist.Config, l *edge.List, n, p int) (*dist.BuildResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: p})
+	if err != nil {
+		return nil, err
+	}
+	return out.Build, nil
+}
+
+func sortOp(cfg dist.Config, l *edge.List, p int) (*dist.SortResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpSort, Edges: l, Procs: p})
+	if err != nil {
+		return nil, err
+	}
+	return out.Sort, nil
+}
+
+func sortExtOp(cfg dist.Config, l *edge.List, p int, ext dist.ExtSortConfig) (*dist.ExtSortResult, error) {
+	out, err := dist.Execute(context.Background(), dist.Spec{Config: cfg, Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: ext})
+	if err != nil {
+		return nil, err
+	}
+	return out.ExtSort, nil
+}
+
+// serialKernel2 is the serial oracle for the distributed kernel 2: the
+// counting matrix of l, its mass, and the kernel-2 filter applied.
+func serialKernel2(t *testing.T, l *edge.List, n int) (*sparse.CSR, float64) {
+	t.Helper()
+	a, err := sparse.FromEdges(l, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mass := a.SumValues()
+	pipeline.ApplyKernel2Filter(a)
+	return a, mass
+}
+
+// kernel2CollectiveBytes is the closed form's kernel-2 share: the
+// in-degree all-reduce and the two scalar all-reduces (matrix mass, NNZ),
+// which is PredictedCommBytes at zero iterations minus the initial
+// rank-vector broadcast.
+func kernel2CollectiveBytes(n, p int) uint64 {
+	return dist.PredictedCommBytes(n, p, 0, false) - 8*uint64(n)*uint64(p-1)
+}
 
 func kron(t *testing.T, scale int, seed uint64) (*edge.List, int) {
 	t.Helper()
@@ -55,15 +123,11 @@ func TestSortEqualsSerialBitForBit(t *testing.T) {
 	inputs["empty"] = edge.NewList(0)
 
 	for name, l := range inputs {
-		want := l.Clone()
 		// The serial reference kernel 1: stable LSD radix by start vertex.
-		res0, err := dist.Sort(want, 1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want = res0.Sorted
+		want := l.Clone()
+		xsort.RadixByU(want)
 		for _, p := range procCounts {
-			res, err := dist.Sort(l, p)
+			res, err := sortOp(dist.Config{}, l, p)
 			if err != nil {
 				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
@@ -84,28 +148,24 @@ func TestSortEqualsSerialBitForBit(t *testing.T) {
 }
 
 func TestSortRejectsBadInput(t *testing.T) {
-	if _, err := dist.Sort(nil, 2); err == nil {
+	if _, err := sortOp(dist.Config{}, nil, 2); err == nil {
 		t.Error("nil list accepted")
 	}
-	if _, err := dist.Sort(edge.NewList(0), 0); err == nil {
+	if _, err := sortOp(dist.Config{}, edge.NewList(0), 0); err == nil {
 		t.Error("p = 0 accepted")
 	}
 }
 
 func TestRunMatchesSerialReferenceEveryP(t *testing.T) {
 	l, n := kron(t, 8, 9)
-	a, err := sparse.FromEdges(l, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline.ApplyKernel2Filter(a)
+	a, _ := serialKernel2(t, l, n)
 	opt := pagerank.Options{Seed: 4}
 	want, err := pagerank.Scatter(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range procCounts {
-		res, err := dist.Run(l, n, p, opt)
+		res, err := runOp(dist.Config{}, l, n, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -141,7 +201,7 @@ func TestRunPExceedsVertexAndDistinctCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, p := range procCounts {
-		res, err := dist.Run(l, n, p, pagerank.Options{Seed: 1})
+		res, err := runOp(dist.Config{}, l, n, p, pagerank.Options{Seed: 1})
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -155,14 +215,9 @@ func TestRunPExceedsVertexAndDistinctCounts(t *testing.T) {
 
 func TestBuildFilteredEqualsSerialKernel2(t *testing.T) {
 	l, n := kron(t, 7, 2)
-	ref, err := sparse.FromEdges(l, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	mass := ref.SumValues()
-	pipeline.ApplyKernel2Filter(ref)
+	ref, mass := serialKernel2(t, l, n)
 	for _, p := range procCounts {
-		b, err := dist.BuildFiltered(l, n, p)
+		b, err := buildOp(dist.Config{}, l, n, p)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -189,7 +244,7 @@ func TestCommStatsEqualPredictionExactly(t *testing.T) {
 		for _, iters := range []int{1, 5, 20} {
 			for _, dangling := range []bool{false, true} {
 				opt := pagerank.Options{Seed: 1, Iterations: iters, Dangling: dangling}
-				res, err := dist.Run(l, n, p, opt)
+				res, err := runOp(dist.Config{}, l, n, p, opt)
 				if err != nil {
 					t.Fatalf("p=%d iters=%d dangling=%v: %v", p, iters, dangling, err)
 				}
@@ -212,7 +267,7 @@ func TestCommPredictionZeroDefaultIterations(t *testing.T) {
 	// taken at pagerank.DefaultIterations must match (the prreport path).
 	l, n := kron(t, 6, 8)
 	const p = 4
-	res, err := dist.Run(l, n, p, pagerank.Options{Seed: 1})
+	res, err := runOp(dist.Config{}, l, n, p, pagerank.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,8 +279,8 @@ func TestCommPredictionZeroDefaultIterations(t *testing.T) {
 		t.Error("p = 1 must predict zero communication")
 	}
 	// And a single processor must measure zero too, calls included,
-	// matching Sort's p = 1 contract.
-	res1, err := dist.Run(l, n, 1, pagerank.Options{Seed: 1})
+	// matching the sort's p = 1 contract.
+	res1, err := runOp(dist.Config{}, l, n, 1, pagerank.Options{Seed: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -236,18 +291,14 @@ func TestCommPredictionZeroDefaultIterations(t *testing.T) {
 
 func TestRunMatrixMatchesSerialEngines(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	a, err := sparse.FromEdges(l, n)
-	if err != nil {
-		t.Fatal(err)
-	}
-	pipeline.ApplyKernel2Filter(a)
+	a, _ := serialKernel2(t, l, n)
 	opt := pagerank.Options{Seed: 2, Dangling: true}
 	want, err := pagerank.Scatter(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, p := range procCounts {
-		res, err := dist.RunMatrix(a, p, opt)
+		res, err := runMatrixOp(dist.Config{}, a, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d: %v", p, err)
 		}
@@ -262,7 +313,7 @@ func TestRunMatrixMatchesSerialEngines(t *testing.T) {
 func TestRunToleranceEarlyExitMetersActualIterations(t *testing.T) {
 	l, n := kron(t, 7, 7)
 	opt := pagerank.Options{Seed: 1, Iterations: 200, Tolerance: 1e-3}
-	res, err := dist.Run(l, n, 3, opt)
+	res, err := runOp(dist.Config{}, l, n, 3, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -277,20 +328,20 @@ func TestRunToleranceEarlyExitMetersActualIterations(t *testing.T) {
 
 func TestRunRejectsBadInput(t *testing.T) {
 	l, n := kron(t, 5, 1)
-	if _, err := dist.Run(l, n, 0, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{}, l, n, 0, pagerank.Options{}); err == nil {
 		t.Error("p = 0 accepted")
 	}
-	if _, err := dist.Run(l, 0, 2, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{}, l, 0, 2, pagerank.Options{}); err == nil {
 		t.Error("n = 0 accepted")
 	}
-	if _, err := dist.Run(l, 2, 2, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{}, l, 2, 2, pagerank.Options{}); err == nil {
 		t.Error("out-of-range vertices accepted")
 	}
 	bad := pagerank.Options{Damping: 2}
-	if _, err := dist.Run(l, n, 2, bad); err == nil {
+	if _, err := runOp(dist.Config{}, l, n, 2, bad); err == nil {
 		t.Error("invalid damping accepted")
 	}
-	if _, err := dist.Run(l, n, 2, pagerank.Options{Teleport: []float64{1}}); err == nil {
+	if _, err := runOp(dist.Config{}, l, n, 2, pagerank.Options{Teleport: []float64{1}}); err == nil {
 		t.Error("short teleport vector accepted")
 	}
 }

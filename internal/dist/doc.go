@@ -11,26 +11,27 @@
 // PredictedCommBytes reproduces the collective volume exactly, byte for
 // byte, which the prreport command asserts.
 //
-// The same schedule runs in two execution modes (ExecMode):
+// Execute is the single entry point: a Spec names the program (Op), the
+// rank count and the inputs, and its Config picks the fabric (ExecMode)
+// the one rank program runs on:
 //
-//   - ExecSim (Run, Sort, BuildFiltered, RunMatrix) simulates the p ranks
-//     single-threadedly in one address space: deterministic, no copying,
-//     only the wire volume is recorded.
-//   - ExecGoroutine (RunMode, SortMode, ... with ExecGoroutine) runs p
-//     concurrent goroutine ranks that exchange real messages over typed
-//     channels, counting the payload bytes actually sent.
+//   - ExecGoroutine (the default) runs p concurrent goroutine ranks that
+//     exchange real messages over typed channels;
+//   - ExecSocket runs p worker processes that exchange the same messages
+//     over unix-domain or TCP sockets, so the metered bytes can be checked
+//     against bytes on an actual wire (DESIGN.md §13).
 //
-// Config (RunCfg, RunMatrixCfg, SortCfg) adds the hybrid second level of
-// the paper's decomposition: Config.Workers spins that many worker
-// goroutines inside each rank for its local kernel-3 block product and
-// kernel-1 partitioning, in either mode.  The worker count is a pure
-// wall-clock knob — results, CommStats and PredictedCommBytes are
-// bit-for-bit invariant in it — and the steady-state iteration performs
-// zero heap allocations (pooled collective buffers, persistent worker
-// teams, preallocated iteration vectors; DESIGN.md §7).
+// Config.Workers adds the hybrid second level of the paper's
+// decomposition: that many worker goroutines inside each rank for its
+// local kernel-3 block product and kernel-1 partitioning.  The worker
+// count is a pure wall-clock knob — results, CommStats and
+// PredictedCommBytes are bit-for-bit invariant in it — and the
+// steady-state iteration performs zero heap allocations (pooled
+// collective buffers, persistent worker teams, preallocated iteration
+// vectors; DESIGN.md §7).
 //
-// Because both modes execute the same schedule from the same shared steps
-// and wire-cost formulas (DESIGN.md §5 documents the contract), their
+// Both fabrics execute the same program with the same collectives and
+// wire-cost formulas (DESIGN.md §5 documents the contract), so their
 // results are bit-for-bit identical and their CommStats are equal — to
 // each other and to PredictedCommBytes.  Relative to the serial engines,
 // kernel 1's output equals the serial stable radix sort exactly for every
@@ -38,11 +39,11 @@
 // output, and kernel 3 matches the serial engines to ~1e-12 (floating-
 // point sums re-associate across rank boundaries, the only deviation).
 //
-// Kernel 1 additionally has an out-of-core regime (SortExternal,
-// SortExternalMode; DESIGN.md §6) for the paper's "edge vectors exceed
-// RAM" case: each rank spills bounded sorted runs to a vfs.FS, the runs
-// are routed through the same metered all-to-all as sorted segments, and
-// per-bucket k-way merges reproduce the serial sort bit for bit for every
-// p and every run-buffer size, with the storage round trip metered
-// separately in ExtSortResult.Spill.
+// Kernel 1 additionally has an out-of-core regime (OpSortExternal;
+// DESIGN.md §6) for the paper's "edge vectors exceed RAM" case: each rank
+// spills bounded sorted runs to a vfs.FS, the runs are routed through the
+// same metered all-to-all as sorted segments, and per-bucket k-way merges
+// reproduce the serial sort bit for bit for every p and every run-buffer
+// size, with the storage round trip metered separately in
+// ExtSortResult.Spill.
 package dist

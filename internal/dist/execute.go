@@ -2,13 +2,11 @@ package dist
 
 // Execute is the distributed runtime's single entry point: every program
 // the package runs — the kernel-2/3 pipeline, kernel 3 alone, kernel 2
-// alone, and the two kernel-1 sorts — is one Op of one Spec, executed in
-// either mode under one context.  The form replaces the mode-suffixed
-// spread (Run/RunCfg/RunMode/RunMatrix…/Sort…/BuildFiltered…/
-// SortExternal…) the API had grown: those names survive as thin
-// deprecated wrappers that build the equivalent Spec and delegate here,
-// so their results — bits, CommStats, Spill records — are the redesign's
-// results by construction.  DESIGN.md §8 tabulates old → new.
+// alone, and the two kernel-1 sorts — is one Op of one Spec, executed on
+// either fabric under one context.  Execute validates the Spec once and
+// takes the no-communication shortcuts; each op's dispatch then only
+// chooses between the goroutine ranks (spawnRanks) and the socket
+// coordinator (socket.go), which run the same rank program.
 
 import (
 	"context"
@@ -17,6 +15,7 @@ import (
 	"repro/internal/edge"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
+	"repro/internal/xsort"
 )
 
 // Op selects the distributed program a Spec executes.
@@ -60,16 +59,15 @@ func (o Op) String() string {
 
 // Spec is one distributed execution: the runtime configuration (the
 // embedded Config's Mode and Workers), the program (Op), its processor
-// count and inputs, and the per-program knobs.  The zero Config is the
-// single-threaded simulation with serial ranks, as everywhere.
+// count and inputs, and the per-program knobs.  The zero Config runs
+// goroutine ranks with serial local compute.
 type Spec struct {
 	// Config is the runtime configuration: execution mode plus hybrid
 	// intra-rank workers.  Results are bit-for-bit invariant in both.
 	// Mode applies to every op; Workers parallelizes the kernel-3 block
 	// product (OpRun, OpRunMatrix) and the kernel-1 bucket partitioning
 	// (OpSort) — OpBuildFiltered and OpSortExternal have no intra-rank
-	// worker stage (exactly as their pre-redesign entrypoints, which
-	// took no Config) and ignore it.
+	// worker stage and ignore it.
 	Config
 	// Op selects the program.
 	Op Op
@@ -114,13 +112,10 @@ type Outcome struct {
 	ExtSort *ExtSortResult
 }
 
-// specN resolves the global vertex count of a kernel-3 spec: the
-// explicit N for OpRun, the matrix dimension for OpRunMatrix.
+// specN resolves the global vertex count of a validated spec: the
+// matrix dimension for OpRunMatrix, the explicit N otherwise.
 func specN(spec Spec) int {
 	if spec.Op == OpRunMatrix {
-		if spec.Matrix == nil {
-			return 0
-		}
 		return spec.Matrix.N
 	}
 	return spec.N
@@ -129,115 +124,109 @@ func specN(spec Spec) int {
 // Execute runs one distributed program under ctx.  Cancelling the
 // context aborts the program at its next cancellation point — between
 // kernel-3 iterations, between the sorts' and kernel 2's phases — with
-// ctx's error, in both execution modes.  In the goroutine mode the
-// fabric's teardown plane guarantees the abort strands no rank: a
-// cancelled (or failed) run unwinds every rank goroutine before Execute
-// returns (DESIGN.md §8).  A background context adds no overhead and
-// changes no result: for every op, Execute under context.Background()
-// returns bit-for-bit the bytes, CommStats and Spill records of the
-// pre-redesign entrypoints it replaced.
+// ctx's error, on either fabric.  The fabric's teardown plane guarantees
+// the abort strands no rank: a cancelled (or failed) run unwinds every
+// rank before Execute returns (DESIGN.md §8).  A background context adds
+// no overhead and changes no result.
 func Execute(ctx context.Context, spec Spec) (*Outcome, error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	if err := spec.validate(); err != nil {
+		return nil, err
+	}
+	out := new(Outcome)
+	var err error
+	switch spec.Op {
+	case OpRun, OpRunMatrix:
+		out.Run, err = executeRun(ctx, spec)
+	case OpBuildFiltered:
+		if spec.Mode == ExecSocket {
+			out.Build, err = buildFilteredSocket(ctx, spec)
+		} else {
+			out.Build, err = buildFilteredGoroutine(ctx, spec)
+		}
+	case OpSort:
+		switch {
+		case spec.Procs == 1 || spec.Edges.Len() == 0:
+			// Nothing to communicate: the serial stable sort is the
+			// distributed sort's exact result.
+			sorted := spec.Edges.Clone()
+			xsort.RadixByU(sorted)
+			out.Sort = &SortResult{Sorted: sorted}
+		case spec.Mode == ExecSocket:
+			out.Sort, err = sortSocket(ctx, spec)
+		default:
+			out.Sort, err = sortGoroutine(ctx, spec)
+		}
+	default: // OpSortExternal; validate rejected every other op
+		out.ExtSort, err = executeSortExternal(ctx, spec)
+	}
+	if err != nil {
+		return nil, err
+	}
+	return out, nil
+}
+
+// validate checks the Spec's mode, op and inputs before any rank starts,
+// so a bad input cannot strand ranks inside a collective.
+func (spec Spec) validate() error {
 	switch spec.Mode {
-	case ExecSim, ExecGoroutine, ExecSocket:
+	case ExecGoroutine, ExecSocket:
 	default:
-		return nil, fmt.Errorf("dist: unknown execution mode %v (valid modes: %s)", spec.Mode, validExecModes)
+		return fmt.Errorf("dist: unknown execution mode %v (valid modes: %s)", spec.Mode, validExecModes)
 	}
 	if spec.Op != OpRun && spec.Op != OpRunMatrix {
 		if spec.Checkpoint.enabled() {
-			return nil, fmt.Errorf("dist: checkpointing applies to the kernel-3 ops, not %v", spec.Op)
+			return fmt.Errorf("dist: checkpointing applies to the kernel-3 ops, not %v", spec.Op)
 		}
 		if spec.Fault != nil {
-			return nil, fmt.Errorf("dist: fault injection applies to the kernel-3 ops, not %v", spec.Op)
+			return fmt.Errorf("dist: fault injection applies to the kernel-3 ops, not %v", spec.Op)
 		}
 	}
 	switch spec.Op {
-	case OpRun:
-		ck, done, err := prepareCheckpoint(&spec, specN(spec))
-		if err != nil {
-			return nil, err
-		}
-		if done != nil {
-			return &Outcome{Run: done}, nil
-		}
-		var res *Result
-		switch spec.Mode {
-		case ExecSim:
-			res, err = runSim(ctx, spec.Config, spec.Edges, spec.N, spec.Procs, spec.PageRank, ck)
-		case ExecSocket:
-			res, err = runSocket(ctx, spec, ck)
-		default:
-			res, err = runGoroutine(ctx, spec.Config, spec.Edges, spec.N, spec.Procs, spec.PageRank, ck)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ck.finish(res)
-		return &Outcome{Run: res}, nil
+	case OpRun, OpBuildFiltered:
+		return validateRun(spec.Edges, spec.N, spec.Procs)
 	case OpRunMatrix:
-		ck, done, err := prepareCheckpoint(&spec, specN(spec))
-		if err != nil {
-			return nil, err
+		if spec.Matrix == nil {
+			return fmt.Errorf("dist: %v of nil matrix", spec.Op)
 		}
-		if done != nil {
-			if spec.Matrix != nil {
-				done.NNZ = spec.Matrix.NNZ()
-			}
-			return &Outcome{Run: done}, nil
+	case OpSort, OpSortExternal:
+		if spec.Edges == nil {
+			return fmt.Errorf("dist: %v of nil edge list", spec.Op)
 		}
-		var res *Result
-		switch spec.Mode {
-		case ExecSim:
-			res, err = runMatrixSim(ctx, spec.Config, spec.Matrix, spec.Procs, spec.PageRank, ck)
-		case ExecSocket:
-			res, err = runSocket(ctx, spec, ck)
-		default:
-			res, err = runMatrixGoroutine(ctx, spec.Config, spec.Matrix, spec.Procs, spec.PageRank, ck)
-		}
-		if err != nil {
-			return nil, err
-		}
-		ck.finish(res)
-		return &Outcome{Run: res}, nil
-	case OpBuildFiltered:
-		var res *BuildResult
-		var err error
-		switch spec.Mode {
-		case ExecSim:
-			res, err = buildFilteredSim(ctx, spec.Edges, spec.N, spec.Procs)
-		case ExecSocket:
-			res, err = buildFilteredSocket(ctx, spec)
-		default:
-			res, err = buildFilteredGoroutine(ctx, spec.Edges, spec.N, spec.Procs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Build: res}, nil
-	case OpSort:
-		var res *SortResult
-		var err error
-		switch spec.Mode {
-		case ExecSim:
-			res, err = sortSim(ctx, spec.Config, spec.Edges, spec.Procs)
-		case ExecSocket:
-			res, err = sortSocket(ctx, spec)
-		default:
-			res, err = sortGoroutine(ctx, spec.Config, spec.Edges, spec.Procs)
-		}
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{Sort: res}, nil
-	case OpSortExternal:
-		res, err := executeSortExternal(ctx, spec)
-		if err != nil {
-			return nil, err
-		}
-		return &Outcome{ExtSort: res}, nil
 	default:
-		return nil, fmt.Errorf("dist: unknown op %v", spec.Op)
+		return fmt.Errorf("dist: unknown op %v", spec.Op)
 	}
+	if spec.Procs < 1 {
+		return fmt.Errorf("dist: %v with p = %d, want >= 1", spec.Op, spec.Procs)
+	}
+	return nil
+}
+
+// executeRun dispatches the kernel-3 ops, wrapping the run in the
+// checkpoint/fault runtime: the resume load happens first (and may cover
+// the whole request), the stats are folded into the Result last.
+func executeRun(ctx context.Context, spec Spec) (*Result, error) {
+	ck, done, err := prepareCheckpoint(&spec, specN(spec))
+	if err != nil {
+		return nil, err
+	}
+	if done != nil {
+		if spec.Op == OpRunMatrix {
+			done.NNZ = spec.Matrix.NNZ()
+		}
+		return done, nil
+	}
+	var res *Result
+	if spec.Mode == ExecSocket {
+		res, err = runSocket(ctx, spec, ck)
+	} else {
+		res, err = runGoroutine(ctx, spec, ck)
+	}
+	if err != nil {
+		return nil, err
+	}
+	ck.finish(res)
+	return res, nil
 }

@@ -1,12 +1,9 @@
 package dist_test
 
-// Tests for the redesigned single entry point: every legacy entrypoint
-// must return bit-for-bit the results, CommStats and Spill records of
-// the equivalent Execute Spec (the deprecated wrappers delegate, and
-// this pins that they keep doing so), and a cancelled context must abort
-// mid-kernel-3 in both execution modes promptly and without leaking a
-// single goroutine — the fabric teardown-plane contract DESIGN.md §8
-// documents.
+// Tests for the single entry point: a cancelled context must abort
+// mid-kernel-3 on both fabrics promptly and without leaking a single
+// goroutine — the teardown-plane contract DESIGN.md §8 documents — and
+// the dispatcher must reject unknown ops and modes.
 
 import (
 	"context"
@@ -63,91 +60,13 @@ func sameMatrix(t *testing.T, what string, a, b *sparse.CSR) {
 	}
 }
 
-// TestExecuteEqualsLegacyEntrypoints pins the acceptance criterion of
-// the API redesign: for every op and both modes, the deprecated
-// entrypoints still compile, still run, and return bit-for-bit the
-// results and CommStats of the one Execute form.
-func TestExecuteEqualsLegacyEntrypoints(t *testing.T) {
-	l, n := executeGraph(t, 8)
-	opt := pagerank.Options{Seed: 5}
-	ctx := context.Background()
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-		for _, p := range []int{1, 3} {
-			cfg := dist.Config{Mode: mode}
-
-			legacyRun, err := dist.RunCfg(cfg, l, n, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			out, err := dist.Execute(ctx, dist.Spec{Config: cfg, Op: dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRank(t, "OpRun", legacyRun.Rank, out.Run.Rank)
-			if legacyRun.Comm != out.Run.Comm || legacyRun.NNZ != out.Run.NNZ {
-				t.Fatalf("OpRun (%v, p=%d): comm/nnz diverge: %+v vs %+v", mode, p, legacyRun, out.Run)
-			}
-
-			legacySort, err := dist.SortCfg(cfg, l, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sout, err := dist.Execute(ctx, dist.Spec{Config: cfg, Op: dist.OpSort, Edges: l, Procs: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !legacySort.Sorted.Equal(sout.Sort.Sorted) || legacySort.Comm != sout.Sort.Comm {
-				t.Fatalf("OpSort (%v, p=%d): output or comm diverges", mode, p)
-			}
-
-			legacyBuild, err := dist.BuildFilteredMode(mode, l, n, p)
-			if err != nil {
-				t.Fatal(err)
-			}
-			bout, err := dist.Execute(ctx, dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: p})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameMatrix(t, "OpBuildFiltered", legacyBuild.Matrix, bout.Build.Matrix)
-			if legacyBuild.Comm != bout.Build.Comm || legacyBuild.Mass != bout.Build.Mass {
-				t.Fatalf("OpBuildFiltered (%v, p=%d): comm/mass diverge", mode, p)
-			}
-
-			legacyMat, err := dist.RunMatrixCfg(cfg, legacyBuild.Matrix, p, opt)
-			if err != nil {
-				t.Fatal(err)
-			}
-			mout, err := dist.Execute(ctx, dist.Spec{Config: cfg, Op: dist.OpRunMatrix, Matrix: legacyBuild.Matrix, Procs: p, PageRank: opt})
-			if err != nil {
-				t.Fatal(err)
-			}
-			sameRank(t, "OpRunMatrix", legacyMat.Rank, mout.Run.Rank)
-			if legacyMat.Comm != mout.Run.Comm {
-				t.Fatalf("OpRunMatrix (%v, p=%d): comm diverges", mode, p)
-			}
-
-			legacyExt, err := dist.SortExternalMode(mode, l, p, dist.ExtSortConfig{RunEdges: 64})
-			if err != nil {
-				t.Fatal(err)
-			}
-			eout, err := dist.Execute(ctx, dist.Spec{Config: dist.Config{Mode: mode}, Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: dist.ExtSortConfig{RunEdges: 64}})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !legacyExt.Sorted.Equal(eout.ExtSort.Sorted) || legacyExt.Comm != eout.ExtSort.Comm || legacyExt.Spill != eout.ExtSort.Spill {
-				t.Fatalf("OpSortExternal (%v, p=%d): output, comm or spill diverges", mode, p)
-			}
-		}
-	}
-}
-
 // TestExecuteCancelMidKernel3 pins prompt cancellation: a context
 // cancelled three iterations into a 100000-iteration kernel 3 must abort
-// the run with context.Canceled in both modes, long before the iteration
-// budget could complete.
+// the run with context.Canceled on both fabrics, long before the
+// iteration budget could complete.
 func TestExecuteCancelMidKernel3(t *testing.T) {
 	l, n := executeGraph(t, 8)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range fabrics {
 		ctx, cancel := context.WithCancel(context.Background())
 		opt := pagerank.Options{
 			Seed:       5,
@@ -254,12 +173,12 @@ func TestExecuteRejectsUnknown(t *testing.T) {
 }
 
 // TestExecutePreCancelled pins that an already-cancelled context never
-// starts work in either mode.
+// starts work on either fabric.
 func TestExecutePreCancelled(t *testing.T) {
 	l, n := executeGraph(t, 6)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
+	for _, mode := range fabrics {
 		_, err := dist.Execute(ctx, dist.Spec{
 			Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: 2,
 			PageRank: pagerank.Options{Seed: 5},

@@ -3,10 +3,10 @@ package dist
 // Hybrid intra-rank parallelism: the MPI+OpenMP-style second level of the
 // paper's decomposition.  Config.Workers spins a persistent team of worker
 // goroutines inside each rank for the local kernel-3 block product and the
-// kernel-1 bucket partitioning, in both execution modes.  The design
-// constraint is DESIGN.md §7: results must be bit-for-bit invariant in
-// Workers (and therefore still bit-for-bit equal between the modes and to
-// the serial baseline), and the steady-state iteration must not allocate.
+// kernel-1 bucket partitioning, on either fabric.  The design constraint
+// is DESIGN.md §7: results must be bit-for-bit invariant in Workers (and
+// therefore still bit-for-bit equal between the fabrics and to the serial
+// baseline), and the steady-state iteration must not allocate.
 //
 // Both properties come from the same trick: instead of giving each worker
 // a private full-length accumulator and merging partial sums (which would
@@ -26,16 +26,15 @@ import (
 )
 
 // Config configures the distributed runtime beyond the processor count.
-// The zero value is the single-threaded simulation with serial ranks —
-// exactly the pre-hybrid behavior.
+// The zero value runs goroutine ranks with serial local compute.
 type Config struct {
-	// Mode selects the execution: the single-threaded simulation or the
-	// concurrent goroutine ranks.
+	// Mode selects the fabric: goroutine ranks (the zero value) or
+	// worker processes over sockets.
 	Mode ExecMode
 	// Workers is the intra-rank worker-goroutine count for each rank's
 	// local compute (the kernel-3 block product and the kernel-1 bucket
 	// partitioning); <= 1 keeps local compute serial.  Results are
-	// bit-for-bit invariant in Workers in both modes.
+	// bit-for-bit invariant in Workers on either fabric.
 	Workers int
 }
 

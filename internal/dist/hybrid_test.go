@@ -1,11 +1,11 @@
 package dist_test
 
 // Property tests for the hybrid intra-rank runtime (dist.Config.Workers):
-// the worker count is a pure wall-clock knob.  For every p × w, in both
-// execution modes, the rank vectors must equal the w = 1 simulation bit
-// for bit, the CommStats record must be identical (intra-rank workers
-// move no wire bytes), and the sorted kernel-1 output must equal the
-// serial stable radix sort — DESIGN.md §7's invariants.
+// the worker count is a pure wall-clock knob.  For every p × w, on both
+// fabrics, the rank vectors must equal the w = 1 goroutine run bit for
+// bit, the CommStats record must be identical (intra-rank workers move no
+// wire bytes), and the sorted kernel-1 output must equal the serial
+// stable radix sort — DESIGN.md §7's invariants.
 
 import (
 	"testing"
@@ -20,18 +20,40 @@ import (
 // that exceeds some ranks' block sizes at small scales.
 var workerCounts = []int{1, 2, 4}
 
+// fabrics are the two execution modes the rank program runs on.
+var fabrics = []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket}
+
+// gridFabrics are the fabrics a p-grid test crosses at rank count p.  A
+// socket run spawns p worker processes, so the grids take the socket
+// fabric at one rank count only; socket_test.go covers it at every p.
+func gridFabrics(p int) []dist.ExecMode {
+	if p == 3 {
+		return fabrics
+	}
+	return fabrics[:1]
+}
+
+// hybridFabrics narrows gridFabrics to one cell of a p × w grid: the
+// socket fabric runs at p = 3 with two workers per rank.
+func hybridFabrics(p, w int) []dist.ExecMode {
+	if w == 2 {
+		return gridFabrics(p)
+	}
+	return fabrics[:1]
+}
+
 func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 	l, n := kron(t, 8, 9)
 	for _, dangling := range []bool{false, true} {
 		opt := pagerank.Options{Seed: 4, Iterations: 6, Dangling: dangling}
 		for _, p := range procCounts {
-			base, err := dist.Run(l, n, p, opt) // sim, serial ranks: the contract baseline
+			base, err := runOp(dist.Config{}, l, n, p, opt) // serial ranks: the contract baseline
 			if err != nil {
 				t.Fatalf("p=%d baseline: %v", p, err)
 			}
 			for _, w := range workerCounts {
-				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-					res, err := dist.RunCfg(dist.Config{Mode: mode, Workers: w}, l, n, p, opt)
+				for _, mode := range hybridFabrics(p, w) {
+					res, err := runOp(dist.Config{Mode: mode, Workers: w}, l, n, p, opt)
 					if err != nil {
 						t.Fatalf("p=%d w=%d %v: %v", p, w, mode, err)
 					}
@@ -57,19 +79,19 @@ func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 
 func TestHybridRunMatrixBitForBitAcrossWorkers(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	b, err := dist.BuildFiltered(l, n, 1)
+	b, err := buildOp(dist.Config{}, l, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
 	for _, p := range procCounts {
-		base, err := dist.RunMatrix(b.Matrix, p, opt)
+		base, err := runMatrixOp(dist.Config{}, b.Matrix, p, opt)
 		if err != nil {
 			t.Fatalf("p=%d baseline: %v", p, err)
 		}
 		for _, w := range workerCounts {
-			for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-				res, err := dist.RunMatrixCfg(dist.Config{Mode: mode, Workers: w}, b.Matrix, p, opt)
+			for _, mode := range hybridFabrics(p, w) {
+				res, err := runMatrixOp(dist.Config{Mode: mode, Workers: w}, b.Matrix, p, opt)
 				if err != nil {
 					t.Fatalf("p=%d w=%d %v: %v", p, w, mode, err)
 				}
@@ -100,13 +122,13 @@ func TestHybridSortEqualsSerialAcrossWorkersAndModes(t *testing.T) {
 		serial := l.Clone()
 		xsort.RadixByU(serial)
 		for _, p := range procCounts {
-			base, err := dist.Sort(l, p)
+			base, err := sortOp(dist.Config{}, l, p)
 			if err != nil {
 				t.Fatalf("%s p=%d baseline: %v", name, p, err)
 			}
 			for _, w := range workerCounts {
-				for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-					res, err := dist.SortCfg(dist.Config{Mode: mode, Workers: w}, l, p)
+				for _, mode := range hybridFabrics(p, w) {
+					res, err := sortOp(dist.Config{Mode: mode, Workers: w}, l, p)
 					if err != nil {
 						t.Fatalf("%s p=%d w=%d %v: %v", name, p, w, mode, err)
 					}
@@ -129,7 +151,7 @@ func TestHybridPredictedCommBytesUnchanged(t *testing.T) {
 	for _, p := range procCounts {
 		for _, w := range workerCounts {
 			opt := pagerank.Options{Seed: 1, Iterations: 4, Dangling: true}
-			res, err := dist.RunCfg(dist.Config{Mode: dist.ExecGoroutine, Workers: w}, l, n, p, opt)
+			res, err := runOp(dist.Config{Workers: w}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d w=%d: %v", p, w, err)
 			}

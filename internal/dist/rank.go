@@ -1,15 +1,15 @@
 package dist
 
-// The goroutine-rank runtime: p concurrent goroutines, one per rank, each
-// owning its rectangular block of the matrix and communicating only
-// through the typed channel fabric of collective.go.  Every rank executes
-// the same program — the schedule the simulation (run.go, sort.go) walks
-// globally — built from the same shared steps: routeChunk/buildBlock/
-// filterBlock for kernel 2, sampleChunk/chooseSplitters/destRank for
-// kernel 1, and pagerank.RunCustom for the kernel-3 update.  DESIGN.md §5
-// specifies the contract; the property tests in rank_test.go pin the
-// bit-for-bit result equality and the byte-count identity between the two
-// runtimes and the closed form.
+// The rank runtime: p ranks, each owning its rectangular block of the
+// matrix and its chunk of the input, communicating only through the
+// collective layer of collective.go.  Every rank executes the same
+// program — buildRank/iterateRank for kernels 2 and 3 (run.go),
+// sortRank for kernel 1 (sort.go), sortExternalRank for kernel 1 beyond
+// RAM (sortext.go) — over one of two fabrics: typed channels between
+// goroutines (ExecGoroutine, spawnRanks below) or sockets between worker
+// processes (ExecSocket, socket.go).  DESIGN.md §5 specifies the
+// contract; the property tests pin the results against the serial
+// engines and the byte counts against the closed form.
 
 import (
 	"context"
@@ -19,28 +19,20 @@ import (
 	"time"
 
 	"repro/internal/edge"
-	"repro/internal/fastio"
-	"repro/internal/pagerank"
-	"repro/internal/sparse"
-	"repro/internal/vfs"
-	"repro/internal/xsort"
 )
 
-// ExecMode selects how the distributed runtime executes its p ranks.
+// ExecMode selects the fabric the distributed runtime's p ranks run on.
 type ExecMode int
 
 const (
-	// ExecSim is the single-threaded simulation: exact metering, no
-	// concurrency, results independent of the host (the default).
-	ExecSim ExecMode = iota
 	// ExecGoroutine runs p concurrent goroutine ranks exchanging real
-	// messages over channels; results and byte counts equal ExecSim's
-	// bit for bit, and wall clock scales with the host's cores.
-	ExecGoroutine
+	// messages over channels (the default); wall clock scales with the
+	// host's cores.
+	ExecGoroutine ExecMode = iota
 	// ExecSocket runs p ranks as separate OS processes exchanging real
 	// messages over unix-domain or TCP sockets (socket.go; DESIGN.md
-	// §13).  Results, CommStats and spill records equal the other two
-	// modes' bit for bit, and the measured socket payload bytes equal
+	// §13).  Results, CommStats and spill records equal the goroutine
+	// mode's bit for bit, and the measured socket payload bytes equal
 	// the metered CommStats — the paper's comm model tested against
 	// bytes on an actual wire.
 	ExecSocket
@@ -49,13 +41,11 @@ const (
 // validExecModes names every mode ParseExecMode accepts, for error
 // messages — the single list both unknown-mode errors quote, so the two
 // cannot drift.
-const validExecModes = "sim, goroutine, socket"
+const validExecModes = "goroutine, socket"
 
 // String implements fmt.Stringer.
 func (m ExecMode) String() string {
 	switch m {
-	case ExecSim:
-		return "sim"
 	case ExecGoroutine:
 		return "goroutine"
 	case ExecSocket:
@@ -66,119 +56,16 @@ func (m ExecMode) String() string {
 }
 
 // ParseExecMode resolves the command-line spelling of a mode; the empty
-// string selects the simulation.
+// string selects the goroutine ranks.
 func ParseExecMode(s string) (ExecMode, error) {
 	switch s {
-	case "", "sim":
-		return ExecSim, nil
-	case "goroutine", "go":
+	case "", "goroutine", "go":
 		return ExecGoroutine, nil
 	case "socket", "sock":
 		return ExecSocket, nil
 	default:
 		return 0, fmt.Errorf("dist: unknown execution mode %q (valid modes: %s)", s, validExecModes)
 	}
-}
-
-// RunMode executes the distributed kernel-2/kernel-3 pipeline in the given
-// execution mode.  Both modes produce bit-for-bit identical Rank vectors
-// and identical CommStats; ExecGoroutine additionally fills RankSeconds.
-//
-// Deprecated: use Execute with OpRun.
-func RunMode(mode ExecMode, l *edge.List, n, p int, opt pagerank.Options) (*Result, error) {
-	return RunCfg(Config{Mode: mode}, l, n, p, opt)
-}
-
-// RunCfg executes the distributed kernel-2/kernel-3 pipeline under the
-// full runtime configuration: execution mode plus hybrid intra-rank
-// workers.  The result — rank vector bits and CommStats alike — is
-// invariant in both Mode and Workers; only wall clock changes.
-//
-// Deprecated: use Execute with OpRun.
-func RunCfg(cfg Config, l *edge.List, n, p int, opt pagerank.Options) (*Result, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: cfg, Op: OpRun, Edges: l, N: n, Procs: p, PageRank: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Run, nil
-}
-
-// SortMode executes the distributed sample sort in the given mode.
-//
-// Deprecated: use Execute with OpSort.
-func SortMode(mode ExecMode, l *edge.List, p int) (*SortResult, error) {
-	return SortCfg(Config{Mode: mode}, l, p)
-}
-
-// SortCfg executes the distributed sample sort under the full runtime
-// configuration; Workers parallelizes each rank's bucket partitioning.
-//
-// Deprecated: use Execute with OpSort.
-func SortCfg(cfg Config, l *edge.List, p int) (*SortResult, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: cfg, Op: OpSort, Edges: l, Procs: p,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Sort, nil
-}
-
-// BuildFilteredMode executes the distributed kernel 2 in the given mode.
-//
-// Deprecated: use Execute with OpBuildFiltered.
-func BuildFilteredMode(mode ExecMode, l *edge.List, n, p int) (*BuildResult, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: Config{Mode: mode}, Op: OpBuildFiltered, Edges: l, N: n, Procs: p,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Build, nil
-}
-
-// RunMatrixMode executes the distributed kernel-3 iteration on a built
-// matrix in the given mode.
-//
-// Deprecated: use Execute with OpRunMatrix.
-func RunMatrixMode(mode ExecMode, a *sparse.CSR, p int, opt pagerank.Options) (*Result, error) {
-	return RunMatrixCfg(Config{Mode: mode}, a, p, opt)
-}
-
-// RunMatrixCfg executes the distributed kernel-3 iteration on a built
-// matrix under the full runtime configuration.
-//
-// Deprecated: use Execute with OpRunMatrix.
-func RunMatrixCfg(cfg Config, a *sparse.CSR, p int, opt pagerank.Options) (*Result, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: cfg, Op: OpRunMatrix, Matrix: a, Procs: p, PageRank: opt,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.Run, nil
-}
-
-// runMatrixGoroutine is the concurrent execution of RunMatrix's schedule.
-func runMatrixGoroutine(ctx context.Context, cfg Config, a *sparse.CSR, p int, opt pagerank.Options, ck *ckptRun) (*Result, error) {
-	if a == nil {
-		return nil, fmt.Errorf("dist: RunMatrix of nil matrix")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: RunMatrix with p = %d, want >= 1", p)
-	}
-	states := splitMatrix(a, p)
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		rank, iters, err := iterateRank(ctx, c, states[c.rank], a.N, opt, cfg.workers(), ck)
-		return rankOutcome{rank: rank, iters: iters, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	out.result.NNZ = a.NNZ()
-	return out.result, nil
 }
 
 // rankOutcome is what one rank's program hands back to the driver.
@@ -252,7 +139,7 @@ func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcom
 	for r := 0; r < p; r++ {
 		comms[r] = newRankComm(f, r)
 		wg.Add(1)
-		//prlint:allow determinism -- the rank spawner IS the simulated machine; ranks sync only through the metered fabric and join on wg
+		//prlint:allow determinism -- the rank spawner IS the distributed machine; ranks sync only through the metered fabric and join on wg
 		go func(r int) {
 			defer wg.Done()
 			// Runs after the recover below: a rank that failed for any
@@ -314,283 +201,4 @@ func spawnRanks(ctx context.Context, p int, program func(c *rankComm) rankOutcom
 		res.Comm.Add(comms[r].st)
 	}
 	return &joined{outcomes: outcomes, result: res}, nil
-}
-
-// runGoroutine is the concurrent execution of Run's schedule.
-func runGoroutine(ctx context.Context, cfg Config, l *edge.List, n, p int, opt pagerank.Options, ck *ckptRun) (*Result, error) {
-	if err := validateRun(l, n, p); err != nil {
-		return nil, err
-	}
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		st, mass, nnz := buildRank(c, l, n)
-		rank, iters, err := iterateRank(ctx, c, st, n, opt, cfg.workers(), ck)
-		return rankOutcome{st: st, rank: rank, iters: iters, mass: mass, nnz: nnz, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.result, nil
-}
-
-// buildFilteredGoroutine is the concurrent execution of BuildFiltered's
-// schedule; the driver assembles the global matrix from the joined blocks.
-func buildFilteredGoroutine(ctx context.Context, l *edge.List, n, p int) (*BuildResult, error) {
-	if err := validateRun(l, n, p); err != nil {
-		return nil, err
-	}
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		st, mass, nnz := buildRank(c, l, n)
-		return rankOutcome{st: st, mass: mass, nnz: nnz}
-	})
-	if err != nil {
-		return nil, err
-	}
-	states := make([]*rankState, p)
-	for r := range states {
-		states[r] = out.outcomes[r].st
-	}
-	return &BuildResult{
-		Matrix: assemble(states, n),
-		Mass:   out.outcomes[0].mass,
-		NNZ:    out.outcomes[0].nnz,
-		Comm:   out.result.Comm,
-	}, nil
-}
-
-// buildRank is one rank's kernel-2 program: route the owned input chunk,
-// exchange edges all-to-all, build the block-local counting matrix, and
-// apply the global filter through the in-degree all-reduce.  Inputs were
-// validated by the driver, so the program cannot fail mid-collective.
-func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
-	p := c.procs()
-	lo, hi := blockBounds(l.Len(), p, c.rank)
-	out := make([]*edge.List, p)
-	for d := range out {
-		out[d] = edge.NewList(0)
-	}
-	routeChunk(out, l, n, p, lo, hi)
-	in := c.exchangeEdges(out)
-	local := edge.NewList(0)
-	for _, part := range in {
-		local.AppendList(part)
-	}
-	rowLo, rowHi := blockBounds(n, p, c.rank)
-	blk, err := buildBlock(local, n, rowLo, rowHi)
-	if err != nil {
-		// Unreachable after validateRun; a failure here is a routing bug.
-		panic(err)
-	}
-	mass := c.allReduceScalar(blk.sumValues())
-	din := blk.inDegrees()
-	c.allReduceSum(din)
-	st := &rankState{blk: blk}
-	var localNNZ int
-	st.danglingRows, localNNZ = filterBlock(blk, din)
-	nnz := int(c.allReduceScalar(float64(localNNZ)))
-	return st, mass, nnz
-}
-
-// iterateRank is one rank's kernel-3 program: rank 0 materializes the
-// initial vector and broadcasts it, then every rank drives the shared
-// pagerank.Engine update on its private replica, with the step hook
-// computing the block-local partial product and all-reducing it, and the
-// dangling-mass hook all-reducing the owned dangling rows' mass.  Every
-// replica follows a byte-identical trajectory — the all-reduce hands all
-// ranks the root's rank-ordered sum — so rank 0's result is the global
-// result, equal to the simulation's bit for bit.  With workers > 1 the
-// local product runs on the rank's persistent hybrid team (spmvOf),
-// bit-for-bit invariantly; combined with the engine's preallocated
-// vectors and the fabric's pooled buffers, the steady-state iteration
-// performs no heap allocation on any rank.
-//
-// The engine is driven through RunContext, so every rank checks ctx at
-// its iteration boundary.  The first rank to observe cancellation
-// returns ctx's error; spawnRanks' teardown then brings the fabric down
-// under any peer still blocked in that iteration's collective, so the
-// whole team unwinds promptly (DESIGN.md §8).  The hybrid team's close
-// is deferred and runs on every exit path, unwinding included.
-//
-// The checkpoint runtime (ck, may be nil) installs the rank's
-// post-iteration hook: at every epoch boundary the rank writes its own
-// block chunk, agrees with its peers that all chunks landed, and rank 0
-// commits the epoch — plus the planned rank failure, if any
-// (checkpoint.go documents the protocol and the fault semantics).
-func iterateRank(ctx context.Context, c *rankComm, st *rankState, n int, opt pagerank.Options, workers int, ck *ckptRun) ([]float64, int, error) {
-	if c.rank != 0 {
-		// Progress is a single-observer hook: the replicas step in
-		// lockstep, so rank 0 reports for the team.
-		opt.Progress = nil
-	}
-	var r0 []float64
-	if c.rank == 0 {
-		if opt.InitialRank != nil {
-			r0 = opt.InitialRank
-		} else {
-			r0 = pagerank.InitVector(n, opt.Seed)
-		}
-	}
-	opt.InitialRank = c.broadcastFloats(r0) // the engine copies, not aliases
-	spmv, h := spmvOf(st, workers)
-	if h != nil {
-		defer h.close()
-	}
-	step := func(out, r []float64) {
-		spmv(out, r)
-		c.allReduceSum(out)
-	}
-	dangleMass := func(r []float64) float64 {
-		return c.allReduceScalar(danglingMassOf(st, r))
-	}
-	e, err := pagerank.NewEngine(n, step, dangleMass, opt)
-	if err != nil {
-		return nil, 0, err
-	}
-	res, err := e.RunContextAfter(ctx, ck.afterRank(c, st.blk.lo, st.blk.hi))
-	if err != nil {
-		return nil, 0, err
-	}
-	return res.Rank, res.Iterations, nil
-}
-
-// sortGoroutine is the concurrent execution of Sort's schedule; each rank
-// samples, routes and sorts its bucket, and the driver concatenates the
-// buckets in rank order (the unmetered "output stays distributed"
-// convention the simulation shares).
-func sortGoroutine(ctx context.Context, cfg Config, l *edge.List, p int) (*SortResult, error) {
-	if l == nil {
-		return nil, fmt.Errorf("dist: Sort of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: Sort with p = %d, want >= 1", p)
-	}
-	m := l.Len()
-	if p == 1 || m == 0 {
-		out := l.Clone()
-		xsort.RadixByU(out)
-		return &SortResult{Sorted: out}, nil
-	}
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		return rankOutcome{edges: sortRank(c, l, cfg.workers())}
-	})
-	if err != nil {
-		return nil, err
-	}
-	sorted := edge.NewList(m)
-	for _, o := range out.outcomes {
-		sorted.AppendList(o.edges)
-	}
-	return &SortResult{Sorted: sorted, Comm: out.result.Comm}, nil
-}
-
-// sortExternalGoroutine is the concurrent execution of the out-of-core
-// sort's schedule; each rank spills, samples, routes run segments and
-// merges its bucket, and the driver concatenates the buckets in rank
-// order.  Inputs were validated and defaulted by the Execute dispatcher.
-func sortExternalGoroutine(ctx context.Context, l *edge.List, p int, cfg ExtSortConfig, fs vfs.FS) (*ExtSortResult, error) {
-	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
-		bucket, runs, err := sortExternalRank(c, l, fs, cfg.TmpPrefix, cfg.Codec, cfg.RunEdges)
-		return rankOutcome{edges: bucket, runs: runs, err: err}
-	})
-	if err != nil {
-		return nil, err
-	}
-	sorted := edge.NewList(l.Len())
-	runsPerRank := make([]int, p)
-	for r, o := range out.outcomes {
-		sorted.AppendList(o.edges)
-		runsPerRank[r] = o.runs
-	}
-	return &ExtSortResult{Sorted: sorted, Comm: out.result.Comm, RunsPerRank: runsPerRank}, nil
-}
-
-// sortExternalRank is one rank's out-of-core sample-sort program: spill
-// the owned chunk as bounded sorted runs, agree that every rank's spill
-// succeeded (control-plane barrier — a storage failure anywhere aborts all
-// ranks before the next collective), run the in-memory sort's sample and
-// splitter schedule, split each run at the splitters and exchange the
-// segments, then k-way merge the received segments in (source rank, run)
-// order.  The rank's own run files are removed before it returns, on every
-// path.
-func sortExternalRank(c *rankComm, l *edge.List, fs vfs.FS, prefix string, codec fastio.Codec, runEdges int) (bucket *edge.List, runs int, err error) {
-	p := c.procs()
-	m := l.Len()
-	lo, hi := blockBounds(m, p, c.rank)
-	names, spillErr := extSpillRuns(fs, prefix, codec, l, c.rank, lo, hi, runEdges)
-	defer func() {
-		if rmErr := xsort.RemoveRuns(fs, names); rmErr != nil && err == nil {
-			bucket, err = nil, rmErr
-		}
-	}()
-	if err := c.agreeError(spillErr); err != nil {
-		return nil, len(names), err
-	}
-
-	splitters := splitterPhase(c, l, lo, hi)
-
-	out := make([][]*edge.List, p)
-	var partErr error
-	for _, name := range names {
-		parts, perr := extPartitionRun(fs, name, codec, splitters, p)
-		if perr != nil {
-			partErr = perr
-			break
-		}
-		for d, part := range parts {
-			if part.Len() > 0 {
-				out[d] = append(out[d], part)
-			}
-		}
-	}
-	if err := c.agreeError(partErr); err != nil {
-		return nil, len(names), err
-	}
-
-	in := c.exchangeSegments(out)
-	var ordered []*edge.List
-	for _, group := range in {
-		ordered = append(ordered, group...)
-	}
-	bucket = edge.NewList(0)
-	xsort.MergeLists(ordered, bucket, false)
-	return bucket, len(names), nil
-}
-
-// splitterPhase runs one goroutine rank's share of the sort's sampling
-// and splitter schedule: sample the owned chunk [lo, hi), gather the
-// samples at rank 0, select the splitters there and receive the
-// broadcast.  The in-memory and out-of-core sorts share it, so the two
-// schedules cannot drift apart (gatherSamples in sort.go is the
-// simulated counterpart).
-func splitterPhase(c *rankComm, l *edge.List, lo, hi int) []uint64 {
-	p := c.procs()
-	all := c.gatherKeys(sampleChunk(l, lo, hi))
-	var splitters []uint64
-	if c.rank == 0 {
-		samples := make([]uint64, 0, p*SamplesPerRank)
-		for _, keys := range all {
-			samples = append(samples, keys...)
-		}
-		splitters = chooseSplitters(samples, p)
-	}
-	return c.broadcastKeys(splitters)
-}
-
-// sortRank is one rank's sample-sort program: sample the owned chunk,
-// gather samples at rank 0, receive the broadcast splitters, exchange
-// edges by key range (partitioned by the rank's hybrid workers), and
-// stably sort the resulting bucket.
-func sortRank(c *rankComm, l *edge.List, workers int) *edge.List {
-	p := c.procs()
-	m := l.Len()
-	lo, hi := blockBounds(m, p, c.rank)
-	splitters := splitterPhase(c, l, lo, hi)
-
-	out := partitionChunk(l, lo, hi, splitters, p, workers)
-	in := c.exchangeEdges(out)
-	bucket := edge.NewList((hi - lo) * 2)
-	for _, part := range in {
-		bucket.AppendList(part)
-	}
-	xsort.RadixByU(bucket)
-	return bucket
 }

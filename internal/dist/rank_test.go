@@ -1,19 +1,24 @@
 package dist_test
 
-// Property tests for the goroutine-rank runtime: for every processor
-// count the concurrent execution must equal the simulation bit for bit —
-// rank vectors, sorted output, assembled matrix AND communication record —
-// and therefore equal the closed-form byte model too.  A determinism test
-// pins that repeated concurrent runs are identical despite scheduling
-// noise.  Run under -race in CI.
+// Property tests for the goroutine-rank runtime.  The …EqualsSim tests
+// pin, for every processor count, everything a single-threaded walk of
+// the schedule would produce — rank vectors, sorted output, assembled
+// matrix and communication record — against the serial oracles
+// (xsort.RadixByU, the serial kernel 2, the pagerank engines) and the
+// closed-form byte model.  Further tests pin that the channel bytes equal
+// the model, repeated concurrent runs are identical despite scheduling
+// noise, bad inputs fail before any rank can strand another, and unknown
+// modes are named in the error.  Run under -race in CI.
 
 import (
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/dist"
 	"repro/internal/edge"
 	"repro/internal/pagerank"
+	"repro/internal/xsort"
 )
 
 func TestGoroutineSortEqualsSimBitForBit(t *testing.T) {
@@ -28,20 +33,30 @@ func TestGoroutineSortEqualsSimBitForBit(t *testing.T) {
 	inputs["empty"] = edge.NewList(0)
 
 	for name, l := range inputs {
+		want := l.Clone()
+		xsort.RadixByU(want)
 		for _, p := range procCounts {
-			sim, err := dist.SortMode(dist.ExecSim, l, p)
+			res, err := sortOp(dist.Config{}, l, p)
 			if err != nil {
-				t.Fatalf("%s p=%d sim: %v", name, p, err)
+				t.Fatalf("%s p=%d: %v", name, p, err)
 			}
-			real, err := dist.SortMode(dist.ExecGoroutine, l, p)
-			if err != nil {
-				t.Fatalf("%s p=%d goroutine: %v", name, p, err)
+			if !res.Sorted.Equal(want) {
+				t.Errorf("%s p=%d: goroutine sort differs from the serial radix sort", name, p)
 			}
-			if !real.Sorted.Equal(sim.Sorted) {
-				t.Errorf("%s p=%d: goroutine sort differs from simulation", name, p)
+			if (p == 1 || l.Len() == 0) && res.Comm != (dist.CommStats{}) {
+				t.Errorf("%s p=%d: nonzero comm %+v", name, p, res.Comm)
+				continue
 			}
-			if real.Comm != sim.Comm {
-				t.Errorf("%s p=%d: goroutine comm %+v, sim %+v", name, p, real.Comm, sim.Comm)
+			if p == 1 || l.Len() == 0 {
+				continue
+			}
+			// Besides its all-to-all, the sample sort makes one broadcast
+			// of at most p-1 splitters to the p-1 other ranks, and no
+			// all-reduce.
+			fanout := 8 * uint64(p-1)
+			if res.Comm.AllReduceCalls != 0 || res.Comm.AllReduceBytes != 0 || res.Comm.BroadcastCalls != 1 ||
+				res.Comm.BroadcastBytes%fanout != 0 || res.Comm.BroadcastBytes > fanout*uint64(p-1) {
+				t.Errorf("%s p=%d: collective traffic %+v is not one splitter broadcast", name, p, res.Comm)
 			}
 		}
 	}
@@ -49,35 +64,46 @@ func TestGoroutineSortEqualsSimBitForBit(t *testing.T) {
 
 func TestGoroutineRunEqualsSimBitForBit(t *testing.T) {
 	l, n := kron(t, 8, 9)
+	a, _ := serialKernel2(t, l, n)
 	for _, p := range procCounts {
 		for _, dangling := range []bool{false, true} {
 			opt := pagerank.Options{Seed: 4, Iterations: 7, Dangling: dangling}
-			sim, err := dist.RunMode(dist.ExecSim, l, n, p, opt)
+			want, err := pagerank.Scatter(a, opt)
 			if err != nil {
-				t.Fatalf("p=%d sim: %v", p, err)
+				t.Fatal(err)
 			}
-			real, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+			res, err := runOp(dist.Config{}, l, n, p, opt)
 			if err != nil {
-				t.Fatalf("p=%d goroutine: %v", p, err)
+				t.Fatalf("p=%d: %v", p, err)
 			}
-			if real.NNZ != sim.NNZ || real.Iterations != sim.Iterations {
-				t.Errorf("p=%d dangling=%v: NNZ/iters %d/%d, sim %d/%d",
-					p, dangling, real.NNZ, real.Iterations, sim.NNZ, sim.Iterations)
+			if res.NNZ != a.NNZ() || res.Iterations != want.Iterations {
+				t.Errorf("p=%d dangling=%v: NNZ/iters %d/%d, serial %d/%d",
+					p, dangling, res.NNZ, res.Iterations, a.NNZ(), want.Iterations)
 			}
-			for i := range sim.Rank {
-				if real.Rank[i] != sim.Rank[i] {
-					t.Fatalf("p=%d dangling=%v: rank[%d] = %v, sim %v — not bit-for-bit",
-						p, dangling, i, real.Rank[i], sim.Rank[i])
+			for i := range want.Rank {
+				if math.Abs(res.Rank[i]-want.Rank[i]) > 1e-9 {
+					t.Fatalf("p=%d dangling=%v: rank[%d] = %v, serial %v",
+						p, dangling, i, res.Rank[i], want.Rank[i])
 				}
 			}
-			if real.Comm != sim.Comm {
-				t.Errorf("p=%d dangling=%v: comm %+v, sim %+v", p, dangling, real.Comm, sim.Comm)
+			// Kernel 3 over the serially built matrix runs the same
+			// partition and reduction order: bit for bit.
+			k3, err := runMatrixOp(dist.Config{}, a, p, opt)
+			if err != nil {
+				t.Fatalf("p=%d: %v", p, err)
 			}
-			if len(real.RankSeconds) != p {
-				t.Errorf("p=%d: RankSeconds has %d entries", p, len(real.RankSeconds))
+			for i := range k3.Rank {
+				if res.Rank[i] != k3.Rank[i] {
+					t.Fatalf("p=%d dangling=%v: rank[%d] = %v, kernel 3 alone %v — not bit-for-bit",
+						p, dangling, i, res.Rank[i], k3.Rank[i])
+				}
 			}
-			if sim.RankSeconds != nil {
-				t.Error("simulation must not report per-rank wall clock")
+			measured := res.Comm.AllReduceBytes + res.Comm.BroadcastBytes
+			if predicted := dist.PredictedCommBytes(n, p, res.Iterations, dangling); measured != predicted {
+				t.Errorf("p=%d dangling=%v: measured %d bytes, predicted %d", p, dangling, measured, predicted)
+			}
+			if len(res.RankSeconds) != p {
+				t.Errorf("p=%d: RankSeconds has %d entries", p, len(res.RankSeconds))
 			}
 		}
 	}
@@ -88,7 +114,7 @@ func TestGoroutineCommEqualsPredictionExactly(t *testing.T) {
 	for _, p := range procCounts {
 		for _, dangling := range []bool{false, true} {
 			opt := pagerank.Options{Seed: 1, Iterations: 5, Dangling: dangling}
-			res, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+			res, err := runOp(dist.Config{}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)
 			}
@@ -109,12 +135,12 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 	l, n := kron(t, 7, 11)
 	const p = 5
 	opt := pagerank.Options{Seed: 3, Iterations: 6, Dangling: true}
-	first, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+	first, err := runOp(dist.Config{}, l, n, p, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
 	for run := 0; run < 4; run++ {
-		res, err := dist.RunMode(dist.ExecGoroutine, l, n, p, opt)
+		res, err := runOp(dist.Config{}, l, n, p, opt)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -131,26 +157,28 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 
 func TestGoroutineBuildFilteredEqualsSim(t *testing.T) {
 	l, n := kron(t, 7, 2)
+	ref, mass := serialKernel2(t, l, n)
 	for _, p := range procCounts {
-		sim, err := dist.BuildFilteredMode(dist.ExecSim, l, n, p)
+		b, err := buildOp(dist.Config{}, l, n, p)
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d: %v", p, err)
 		}
-		real, err := dist.BuildFilteredMode(dist.ExecGoroutine, l, n, p)
-		if err != nil {
-			t.Fatalf("p=%d goroutine: %v", p, err)
+		if b.Mass != mass || b.NNZ != ref.NNZ() {
+			t.Errorf("p=%d: mass/NNZ %v/%d, serial %v/%d", p, b.Mass, b.NNZ, mass, ref.NNZ())
 		}
-		if real.Mass != sim.Mass || real.NNZ != sim.NNZ {
-			t.Errorf("p=%d: mass/NNZ %v/%d, sim %v/%d", p, real.Mass, real.NNZ, sim.Mass, sim.NNZ)
+		if b.Comm.AllReduceBytes != kernel2CollectiveBytes(n, p) || b.Comm.BroadcastBytes != 0 {
+			t.Errorf("p=%d: comm %+v, closed form %d all-reduce bytes", p, b.Comm, kernel2CollectiveBytes(n, p))
 		}
-		if real.Comm != sim.Comm {
-			t.Errorf("p=%d: comm %+v, sim %+v", p, real.Comm, sim.Comm)
-		}
-		if err := real.Matrix.Validate(); err != nil {
+		if err := b.Matrix.Validate(); err != nil {
 			t.Fatalf("p=%d: assembled matrix invalid: %v", p, err)
 		}
-		for k := range sim.Matrix.Val {
-			if real.Matrix.Col[k] != sim.Matrix.Col[k] || real.Matrix.Val[k] != sim.Matrix.Val[k] {
+		for i := range ref.RowPtr {
+			if b.Matrix.RowPtr[i] != ref.RowPtr[i] {
+				t.Fatalf("p=%d: assembled RowPtr differs at %d", p, i)
+			}
+		}
+		for k := range ref.Val {
+			if b.Matrix.Col[k] != ref.Col[k] || b.Matrix.Val[k] != ref.Val[k] {
 				t.Fatalf("p=%d: assembled matrix entry %d differs", p, k)
 			}
 		}
@@ -159,88 +187,103 @@ func TestGoroutineBuildFilteredEqualsSim(t *testing.T) {
 
 func TestGoroutineRunMatrixEqualsSim(t *testing.T) {
 	l, n := kron(t, 7, 6)
-	b, err := dist.BuildFiltered(l, n, 1)
+	b, err := buildOp(dist.Config{}, l, n, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
+	want, err := pagerank.Scatter(b.Matrix, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for _, p := range procCounts {
-		sim, err := dist.RunMatrixMode(dist.ExecSim, b.Matrix, p, opt)
+		res, err := runMatrixOp(dist.Config{}, b.Matrix, p, opt)
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d: %v", p, err)
 		}
-		real, err := dist.RunMatrixMode(dist.ExecGoroutine, b.Matrix, p, opt)
-		if err != nil {
-			t.Fatalf("p=%d goroutine: %v", p, err)
-		}
-		for i := range sim.Rank {
-			if real.Rank[i] != sim.Rank[i] {
-				t.Fatalf("p=%d: rank[%d] not bit-for-bit", p, i)
+		for i := range want.Rank {
+			if math.Abs(res.Rank[i]-want.Rank[i]) > 1e-9 {
+				t.Fatalf("p=%d: rank[%d] = %v, serial %v", p, i, res.Rank[i], want.Rank[i])
 			}
 		}
-		if real.Comm != sim.Comm {
-			t.Errorf("p=%d: comm %+v, sim %+v", p, real.Comm, sim.Comm)
+		if res.NNZ != b.Matrix.NNZ() {
+			t.Errorf("p=%d: NNZ %d, want %d", p, res.NNZ, b.Matrix.NNZ())
 		}
-		if real.NNZ != b.Matrix.NNZ() {
-			t.Errorf("p=%d: NNZ %d, want %d", p, real.NNZ, b.Matrix.NNZ())
+		// Kernel 3 alone: the closed form without its kernel-2 share.
+		measured := res.Comm.AllReduceBytes + res.Comm.BroadcastBytes
+		if predicted := dist.PredictedCommBytes(n, p, res.Iterations, true) - kernel2CollectiveBytes(n, p); measured != predicted {
+			t.Errorf("p=%d: measured %d bytes, predicted %d", p, measured, predicted)
+		}
+		if res.Comm.AllToAllBytes != 0 {
+			t.Errorf("p=%d: kernel 3 routed %d all-to-all bytes", p, res.Comm.AllToAllBytes)
 		}
 	}
 }
 
 func TestGoroutineRejectsBadInput(t *testing.T) {
 	l, n := kron(t, 5, 1)
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, n, 0, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{}, l, n, 0, pagerank.Options{}); err == nil {
 		t.Error("p = 0 accepted")
 	}
-	if _, err := dist.RunMode(dist.ExecGoroutine, nil, n, 2, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{}, nil, n, 2, pagerank.Options{}); err == nil {
 		t.Error("nil list accepted")
 	}
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, 2, 2, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{}, l, 2, 2, pagerank.Options{}); err == nil {
 		t.Error("out-of-range vertices accepted")
 	}
 	// Invalid options must fail on every rank consistently (no deadlock).
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, n, 3, pagerank.Options{Damping: 2}); err == nil {
+	if _, err := runOp(dist.Config{}, l, n, 3, pagerank.Options{Damping: 2}); err == nil {
 		t.Error("invalid damping accepted")
 	}
-	if _, err := dist.RunMode(dist.ExecGoroutine, l, n, 3, pagerank.Options{Teleport: []float64{1}}); err == nil {
+	if _, err := runOp(dist.Config{}, l, n, 3, pagerank.Options{Teleport: []float64{1}}); err == nil {
 		t.Error("short teleport vector accepted")
 	}
-	if _, err := dist.SortMode(dist.ExecGoroutine, nil, 2); err == nil {
+	if _, err := sortOp(dist.Config{}, nil, 2); err == nil {
 		t.Error("sort of nil list accepted")
 	}
-	if _, err := dist.RunMatrixMode(dist.ExecGoroutine, nil, 2, pagerank.Options{}); err == nil {
+	if _, err := runMatrixOp(dist.Config{}, nil, 2, pagerank.Options{}); err == nil {
 		t.Error("nil matrix accepted")
 	}
-	if _, err := dist.RunMode(dist.ExecMode(99), l, n, 2, pagerank.Options{}); err == nil {
+	if _, err := runOp(dist.Config{Mode: dist.ExecMode(99)}, l, n, 2, pagerank.Options{}); err == nil {
 		t.Error("unknown mode accepted")
 	}
 }
 
 func TestGoroutineCheckpointRestartPath(t *testing.T) {
 	// InitialRank is the checkpoint-restart seed; the broadcast must ship
-	// it from rank 0 and the result must match the simulation bit for bit.
+	// it from rank 0 and the result must match the serial engine started
+	// from the same vector.
 	l, n := kron(t, 6, 4)
+	a, _ := serialKernel2(t, l, n)
 	init := pagerank.InitVector(n, 77)
 	opt := pagerank.Options{Seed: 1, Iterations: 3, InitialRank: init}
-	sim, err := dist.RunMode(dist.ExecSim, l, n, 3, opt)
+	want, err := pagerank.Scatter(a, opt)
 	if err != nil {
 		t.Fatal(err)
 	}
-	real, err := dist.RunMode(dist.ExecGoroutine, l, n, 3, opt)
+	fresh, err := pagerank.Scatter(a, pagerank.Options{Seed: 1, Iterations: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range sim.Rank {
-		if real.Rank[i] != sim.Rank[i] {
-			t.Fatalf("rank[%d] not bit-for-bit on restart path", i)
+	res, err := runOp(dist.Config{}, l, n, 3, opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	moved := false
+	for i := range want.Rank {
+		if math.Abs(res.Rank[i]-want.Rank[i]) > 1e-9 {
+			t.Fatalf("rank[%d] = %v, serial restart %v", i, res.Rank[i], want.Rank[i])
 		}
+		moved = moved || math.Abs(res.Rank[i]-fresh.Rank[i]) > 1e-9
+	}
+	if !moved {
+		t.Fatal("InitialRank ignored: restart result equals the fresh start")
 	}
 }
 
 func TestParseExecMode(t *testing.T) {
 	for s, want := range map[string]dist.ExecMode{
-		"": dist.ExecSim, "sim": dist.ExecSim,
-		"goroutine": dist.ExecGoroutine, "go": dist.ExecGoroutine,
+		"": dist.ExecGoroutine, "goroutine": dist.ExecGoroutine, "go": dist.ExecGoroutine,
 		"socket": dist.ExecSocket, "sock": dist.ExecSocket,
 	} {
 		got, err := dist.ParseExecMode(s)
@@ -248,8 +291,11 @@ func TestParseExecMode(t *testing.T) {
 			t.Errorf("ParseExecMode(%q) = %v, %v", s, got, err)
 		}
 	}
-	if dist.ExecSim.String() != "sim" || dist.ExecGoroutine.String() != "goroutine" || dist.ExecSocket.String() != "socket" {
+	if dist.ExecGoroutine.String() != "goroutine" || dist.ExecSocket.String() != "socket" {
 		t.Error("mode strings changed")
+	}
+	if _, err := dist.ParseExecMode("sim"); err == nil {
+		t.Error(`ParseExecMode("sim") accepted a retired mode`)
 	}
 }
 
@@ -270,7 +316,7 @@ func TestUnknownExecModeErrors(t *testing.T) {
 				_, err := dist.ParseExecMode("mpi")
 				return err
 			},
-			want: []string{`"mpi"`, "sim, goroutine, socket"},
+			want: []string{`"mpi"`, "goroutine, socket"},
 		},
 		{
 			name: "parse socket typo",
@@ -278,23 +324,23 @@ func TestUnknownExecModeErrors(t *testing.T) {
 				_, err := dist.ParseExecMode("sockets")
 				return err
 			},
-			want: []string{`"sockets"`, "sim, goroutine, socket"},
+			want: []string{`"sockets"`, "goroutine, socket"},
 		},
 		{
 			name: "run with out-of-range enum",
 			run: func() error {
-				_, err := dist.RunMode(dist.ExecMode(42), l, n, 2, pagerank.Options{})
+				_, err := runOp(dist.Config{Mode: dist.ExecMode(42)}, l, n, 2, pagerank.Options{})
 				return err
 			},
-			want: []string{"42", "sim, goroutine, socket"},
+			want: []string{"42", "goroutine, socket"},
 		},
 		{
 			name: "sort with out-of-range enum",
 			run: func() error {
-				_, err := dist.SortMode(dist.ExecMode(7), l, 2)
+				_, err := sortOp(dist.Config{Mode: dist.ExecMode(7)}, l, 2)
 				return err
 			},
-			want: []string{"7", "sim, goroutine, socket"},
+			want: []string{"7", "goroutine, socket"},
 		},
 	}
 	for _, tc := range cases {

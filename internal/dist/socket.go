@@ -49,7 +49,6 @@ import (
 	"repro/internal/ckpt"
 	"repro/internal/dist/fabric"
 	"repro/internal/edge"
-	"repro/internal/xsort"
 )
 
 // DefaultJoinTimeout bounds the socket handshake: listen to all ranks
@@ -144,8 +143,8 @@ func jobOf(spec Spec, ck *ckptRun) *wireJob {
 
 // perRankJob specializes the shared job for one rank: only rank 0
 // carries the initial vector and reports progress (iterateRank
-// broadcasts the vector and single-observes the hook, exactly as in the
-// other modes).
+// broadcasts the vector and single-observes the hook, exactly as on
+// goroutine ranks).
 func perRankJob(job *wireJob, rank int) *wireJob {
 	if rank == 0 {
 		return job
@@ -404,7 +403,14 @@ func socketOutcomes(ctx context.Context, spec Spec, ck *ckptRun, job *wireJob) (
 // the goroutine mode's verbatim.
 func serveWorker(spec Spec, ck *ckptRun, rank int, c *fabric.Link, tearing *atomic.Bool) (*wireOutcome, error) {
 	ack := func(msg string) error {
-		return c.WriteControl(fabric.FrameCkptAck, 0, rank, []byte(msg))
+		if err := c.WriteControl(fabric.FrameCkptAck, 0, rank, []byte(msg)); err != nil {
+			if tearing.Load() {
+				// The link was closed under us by the teardown plane.
+				return errRunAborted
+			}
+			return fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
+		}
+		return nil
 	}
 	for {
 		h, payload, err := c.ReadFrame()
@@ -429,7 +435,7 @@ func serveWorker(spec Spec, ck *ckptRun, rank int, c *fabric.Link, tearing *atom
 				msg = werr.Error()
 			}
 			if err := ack(msg); err != nil {
-				return nil, fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
+				return nil, err
 			}
 		case fabric.FrameCkptCommit:
 			msg := ""
@@ -444,7 +450,7 @@ func serveWorker(spec Spec, ck *ckptRun, rank int, c *fabric.Link, tearing *atom
 				}
 			}
 			if err := ack(msg); err != nil {
-				return nil, fmt.Errorf("dist: rank %d checkpoint ack: %v", rank, err)
+				return nil, err
 			}
 		case fabric.FrameOutcome:
 			out := new(wireOutcome)
@@ -478,16 +484,6 @@ func reapWorkers(cmds []*exec.Cmd) {
 
 // runSocket executes OpRun and OpRunMatrix on a socket fabric.
 func runSocket(ctx context.Context, spec Spec, ck *ckptRun) (*Result, error) {
-	if spec.Op == OpRunMatrix {
-		if spec.Matrix == nil {
-			return nil, fmt.Errorf("dist: RunMatrix of nil matrix")
-		}
-		if spec.Procs < 1 {
-			return nil, fmt.Errorf("dist: RunMatrix with p = %d, want >= 1", spec.Procs)
-		}
-	} else if err := validateRun(spec.Edges, spec.N, spec.Procs); err != nil {
-		return nil, err
-	}
 	j, err := socketOutcomes(ctx, spec, ck, jobOf(spec, ck))
 	if err != nil {
 		return nil, err
@@ -505,9 +501,6 @@ func runSocket(ctx context.Context, spec Spec, ck *ckptRun) (*Result, error) {
 // buildFilteredSocket executes OpBuildFiltered on a socket fabric; the
 // coordinator assembles the global matrix from the shipped blocks.
 func buildFilteredSocket(ctx context.Context, spec Spec) (*BuildResult, error) {
-	if err := validateRun(spec.Edges, spec.N, spec.Procs); err != nil {
-		return nil, err
-	}
 	j, err := socketOutcomes(ctx, spec, nil, jobOf(spec, nil))
 	if err != nil {
 		return nil, err
@@ -528,28 +521,13 @@ func buildFilteredSocket(ctx context.Context, spec Spec) (*BuildResult, error) {
 	}, nil
 }
 
-// sortSocket executes OpSort on a socket fabric, with the same
-// no-communication shortcut the goroutine mode takes for p = 1 and
-// empty inputs.
+// sortSocket executes OpSort on a socket fabric.
 func sortSocket(ctx context.Context, spec Spec) (*SortResult, error) {
-	l, p := spec.Edges, spec.Procs
-	if l == nil {
-		return nil, fmt.Errorf("dist: Sort of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: Sort with p = %d, want >= 1", p)
-	}
-	m := l.Len()
-	if p == 1 || m == 0 {
-		out := l.Clone()
-		xsort.RadixByU(out)
-		return &SortResult{Sorted: out}, nil
-	}
 	j, err := socketOutcomes(ctx, spec, nil, jobOf(spec, nil))
 	if err != nil {
 		return nil, err
 	}
-	sorted := edge.NewList(m)
+	sorted := edge.NewList(spec.Edges.Len())
 	for _, o := range j.outcomes {
 		sorted.AppendList(edgesOf(o.EdgesU, o.EdgesV))
 	}
@@ -560,7 +538,7 @@ func sortSocket(ctx context.Context, spec Spec) (*SortResult, error) {
 // worker spills to its own private in-memory store (run files are
 // rank-private temporaries, gone before the rank returns), so the
 // coordinator-side Ext.FS is unused in this mode and Spill sums the
-// per-rank metered records — equal to the other modes' shared-meter
+// per-rank metered records — equal to the goroutine mode's shared-meter
 // totals, because the per-rank run traffic is disjoint.
 func sortExternalSocket(ctx context.Context, spec Spec) (*ExtSortResult, error) {
 	j, err := socketOutcomes(ctx, spec, nil, jobOf(spec, nil))

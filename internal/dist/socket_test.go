@@ -2,8 +2,8 @@ package dist_test
 
 // Property suite for the socket execution mode (DESIGN.md §13): p ranks
 // as separate OS processes over unix-domain (and TCP loopback) sockets
-// must be observationally identical to the simulation and the goroutine
-// fabric — rank bits, CommStats, spill records — while the measured
+// must be observationally identical to the goroutine fabric — rank bits,
+// CommStats, spill records — while the measured
 // socket payload bytes equal the metered CommStats, checkpoint/restart
 // works across the process boundary (genuine worker death included),
 // and an aborted run leaks neither goroutines nor file descriptors.
@@ -56,24 +56,16 @@ func checkWire(t *testing.T, what string, wire *dist.WireStats, st dist.CommStat
 }
 
 // TestSocketRunMatchesOtherModes is the tentpole property for kernel
-// 2+3: for every p the socket pipeline equals the simulation and the
-// goroutine fabric bit for bit — ranks, CommStats, iteration and NNZ
-// counts — and the measured socket bytes equal the metered bytes and
-// the closed form.
+// 2+3: for every p the socket pipeline equals the goroutine fabric bit
+// for bit — ranks, CommStats, iteration and NNZ counts — and the
+// measured socket bytes equal the metered bytes and the closed form.
 func TestSocketRunMatchesOtherModes(t *testing.T) {
 	l, n := executeGraph(t, 6)
 	opt := pagerank.Options{Seed: 3, Iterations: 8, Dangling: true}
 	for _, p := range procCounts {
-		var ref [2]*dist.Result
-		for i, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-			out, err := dist.Execute(context.Background(), dist.Spec{
-				Config: dist.Config{Mode: mode}, Op: dist.OpRun,
-				Edges: l, N: n, Procs: p, PageRank: opt,
-			})
-			if err != nil {
-				t.Fatalf("p=%d mode=%v: %v", p, mode, err)
-			}
-			ref[i] = out.Run
+		ref, err := runOp(dist.Config{}, l, n, p, opt)
+		if err != nil {
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
 		spec := socketSpec(dist.OpRun, p)
 		spec.Edges, spec.N, spec.PageRank = l, n, opt
@@ -82,15 +74,13 @@ func TestSocketRunMatchesOtherModes(t *testing.T) {
 			t.Fatalf("p=%d socket: %v", p, err)
 		}
 		res := out.Run
-		for i, mode := range []string{"sim", "goroutine"} {
-			sameRank(t, "socket vs "+mode, ref[i].Rank, res.Rank)
-			if res.Comm != ref[i].Comm {
-				t.Fatalf("p=%d: socket CommStats %+v != %s %+v", p, res.Comm, mode, ref[i].Comm)
-			}
-			if res.Iterations != ref[i].Iterations || res.NNZ != ref[i].NNZ {
-				t.Fatalf("p=%d: socket iters/nnz %d/%d != %s %d/%d",
-					p, res.Iterations, res.NNZ, mode, ref[i].Iterations, ref[i].NNZ)
-			}
+		sameRank(t, "socket vs goroutine", ref.Rank, res.Rank)
+		if res.Comm != ref.Comm {
+			t.Fatalf("p=%d: socket CommStats %+v != goroutine %+v", p, res.Comm, ref.Comm)
+		}
+		if res.Iterations != ref.Iterations || res.NNZ != ref.NNZ {
+			t.Fatalf("p=%d: socket iters/nnz %d/%d != goroutine %d/%d",
+				p, res.Iterations, res.NNZ, ref.Iterations, ref.NNZ)
 		}
 		checkWire(t, "run", res.Wire, res.Comm)
 		// The wire bytes minus the data-dependent kernel-2 edge routing
@@ -100,15 +90,15 @@ func TestSocketRunMatchesOtherModes(t *testing.T) {
 		if want := dist.PredictedCommBytes(n, p, res.Iterations, true); collectives != want {
 			t.Fatalf("p=%d: %d collective wire bytes, closed form predicts %d", p, collectives, want)
 		}
-		if p > 1 && len(res.RankSeconds) != p {
+		if len(res.RankSeconds) != p {
 			t.Fatalf("p=%d: RankSeconds %v", p, res.RankSeconds)
 		}
 	}
 }
 
 // TestSocketSortMatchesOtherModes pins kernel 1: sorted bits and
-// CommStats equal across all three modes for every p, measured bytes
-// equal metered bytes.
+// CommStats equal across both fabrics for every p, measured bytes equal
+// metered bytes.
 func TestSocketSortMatchesOtherModes(t *testing.T) {
 	l, _ := executeGraph(t, 6)
 	for _, p := range procCounts {
@@ -116,7 +106,7 @@ func TestSocketSortMatchesOtherModes(t *testing.T) {
 			Op: dist.OpSort, Edges: l, Procs: p,
 		})
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
 		spec := socketSpec(dist.OpSort, p)
 		spec.Edges = l
@@ -125,10 +115,10 @@ func TestSocketSortMatchesOtherModes(t *testing.T) {
 			t.Fatalf("p=%d socket: %v", p, err)
 		}
 		if !out.Sort.Sorted.Equal(want.Sort.Sorted) {
-			t.Fatalf("p=%d: socket sort differs from the simulation", p)
+			t.Fatalf("p=%d: socket sort differs from the goroutine fabric", p)
 		}
 		if out.Sort.Comm != want.Sort.Comm {
-			t.Fatalf("p=%d: socket sort CommStats %+v != sim %+v", p, out.Sort.Comm, want.Sort.Comm)
+			t.Fatalf("p=%d: socket sort CommStats %+v != goroutine %+v", p, out.Sort.Comm, want.Sort.Comm)
 		}
 		if p > 1 {
 			checkWire(t, "sort", out.Sort.Wire, out.Sort.Comm)
@@ -146,7 +136,7 @@ func TestSocketBuildFilteredMatchesOtherModes(t *testing.T) {
 			Op: dist.OpBuildFiltered, Edges: l, N: n, Procs: p,
 		})
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
 		spec := socketSpec(dist.OpBuildFiltered, p)
 		spec.Edges, spec.N = l, n
@@ -156,11 +146,11 @@ func TestSocketBuildFilteredMatchesOtherModes(t *testing.T) {
 		}
 		sameMatrix(t, "socket build", want.Build.Matrix, out.Build.Matrix)
 		if out.Build.Mass != want.Build.Mass || out.Build.NNZ != want.Build.NNZ {
-			t.Fatalf("p=%d: socket mass/nnz %v/%d != sim %v/%d",
+			t.Fatalf("p=%d: socket mass/nnz %v/%d != goroutine %v/%d",
 				p, out.Build.Mass, out.Build.NNZ, want.Build.Mass, want.Build.NNZ)
 		}
 		if out.Build.Comm != want.Build.Comm {
-			t.Fatalf("p=%d: socket build CommStats %+v != sim %+v", p, out.Build.Comm, want.Build.Comm)
+			t.Fatalf("p=%d: socket build CommStats %+v != goroutine %+v", p, out.Build.Comm, want.Build.Comm)
 		}
 		checkWire(t, "build", out.Build.Wire, out.Build.Comm)
 	}
@@ -178,7 +168,7 @@ func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 			Op: dist.OpSortExternal, Edges: l, Procs: p, Ext: ext,
 		})
 		if err != nil {
-			t.Fatalf("p=%d sim: %v", p, err)
+			t.Fatalf("p=%d goroutine: %v", p, err)
 		}
 		spec := socketSpec(dist.OpSortExternal, p)
 		spec.Edges, spec.Ext = l, ext
@@ -187,18 +177,18 @@ func TestSocketSortExternalMatchesOtherModes(t *testing.T) {
 			t.Fatalf("p=%d socket: %v", p, err)
 		}
 		if !out.ExtSort.Sorted.Equal(want.ExtSort.Sorted) {
-			t.Fatalf("p=%d: socket external sort differs from the simulation", p)
+			t.Fatalf("p=%d: socket external sort differs from the goroutine fabric", p)
 		}
 		if out.ExtSort.Comm != want.ExtSort.Comm {
-			t.Fatalf("p=%d: CommStats %+v != sim %+v", p, out.ExtSort.Comm, want.ExtSort.Comm)
+			t.Fatalf("p=%d: CommStats %+v != goroutine %+v", p, out.ExtSort.Comm, want.ExtSort.Comm)
 		}
 		for r := 0; r < p; r++ {
 			if out.ExtSort.RunsPerRank[r] != want.ExtSort.RunsPerRank[r] {
-				t.Fatalf("p=%d rank %d: %d runs, sim %d", p, r, out.ExtSort.RunsPerRank[r], want.ExtSort.RunsPerRank[r])
+				t.Fatalf("p=%d rank %d: %d runs, goroutine %d", p, r, out.ExtSort.RunsPerRank[r], want.ExtSort.RunsPerRank[r])
 			}
 		}
 		if out.ExtSort.Spill != want.ExtSort.Spill {
-			t.Fatalf("p=%d: socket spill %+v != sim %+v", p, out.ExtSort.Spill, want.ExtSort.Spill)
+			t.Fatalf("p=%d: socket spill %+v != goroutine %+v", p, out.ExtSort.Spill, want.ExtSort.Spill)
 		}
 		if out.ExtSort.SpillCodec != want.ExtSort.SpillCodec {
 			t.Fatalf("p=%d: spill codec %q != %q", p, out.ExtSort.SpillCodec, want.ExtSort.SpillCodec)
@@ -232,7 +222,7 @@ func TestSocketTCPLoopback(t *testing.T) {
 	}
 	sameRank(t, "tcp socket run", want.Run.Rank, out.Run.Rank)
 	if out.Run.Comm != want.Run.Comm {
-		t.Fatalf("tcp CommStats %+v != sim %+v", out.Run.Comm, want.Run.Comm)
+		t.Fatalf("tcp CommStats %+v != goroutine %+v", out.Run.Comm, want.Run.Comm)
 	}
 	checkWire(t, "tcp run", out.Run.Wire, out.Run.Comm)
 	if !strings.HasPrefix(listened, "tcp://127.0.0.1:") {
@@ -336,18 +326,16 @@ func TestSocketHardFaultWorkerDeath(t *testing.T) {
 }
 
 // TestSocketHardFaultRejectedOffSocket pins that Hard fault plans are
-// rejected in the modes that have no process to kill.
+// rejected on goroutine ranks, which have no process to kill.
 func TestSocketHardFaultRejectedOffSocket(t *testing.T) {
 	l, n := executeGraph(t, 6)
-	for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-		_, err := dist.Execute(context.Background(), dist.Spec{
-			Config: dist.Config{Mode: mode}, Op: dist.OpRun, Edges: l, N: n, Procs: 2,
-			PageRank: pagerank.Options{Seed: 5, Iterations: 10},
-			Fault:    &dist.FaultPlan{KillRank: 0, AtIteration: 2, Hard: true},
-		})
-		if err == nil || !strings.Contains(err.Error(), "socket mode") {
-			t.Fatalf("mode=%v: hard fault err = %v, want socket-mode rejection", mode, err)
-		}
+	_, err := dist.Execute(context.Background(), dist.Spec{
+		Op: dist.OpRun, Edges: l, N: n, Procs: 2,
+		PageRank: pagerank.Options{Seed: 5, Iterations: 10},
+		Fault:    &dist.FaultPlan{KillRank: 0, AtIteration: 2, Hard: true},
+	})
+	if err == nil || !strings.Contains(err.Error(), "socket mode") {
+		t.Fatalf("hard fault err = %v, want socket-mode rejection", err)
 	}
 }
 

@@ -7,7 +7,7 @@ package dist
 // iterateRank, sortRank, sortExternalRank) over a sockFabric, and
 // reports a wireOutcome.  Because the programs, the collectives and the
 // metering are shared, the socket mode's results and CommStats equal
-// the other modes' bit for bit by construction.
+// the goroutine mode's bit for bit by construction.
 //
 // Two ways into this file: the prrankd binary calls JoinFabric
 // explicitly, and the init hook below turns ANY dist-importing binary

@@ -3,7 +3,7 @@ package dist
 // Out-of-core distributed sample sort (kernel 1 beyond RAM): the paper's
 // §IV requires kernel 1 to switch to an out-of-core algorithm when the
 // edge vectors exceed memory, and its §V analysis makes the distributed
-// sort the scaling bottleneck.  SortExternal combines the two regimes:
+// sort the scaling bottleneck.  OpSortExternal combines the two regimes:
 //
 //   - run formation: each rank scans its contiguous input chunk through a
 //     bounded buffer of RunEdges edges, stably radix-sorts each buffer
@@ -11,13 +11,13 @@ package dist
 //     fixed-width binary by default (xsort.SpillRun — the same machinery
 //     xsort.External uses);
 //   - splitter selection: sampling, the gather at rank 0 and the splitter
-//     broadcast are byte-for-byte the schedule of the in-memory Sort
-//     (sampleChunk / chooseSplitters / destRank, shared helpers);
+//     broadcast are byte-for-byte the schedule of the in-memory sort
+//     (splitterPhase, shared);
 //   - spilled all-to-all: each rank streams its runs back, splits every
 //     run at the splitters — a sorted run splits into sorted, contiguous
 //     segments — and routes the segments to their bucket owners.  Only
 //     off-rank edges are metered, 16 bytes each, so CommStats equals the
-//     in-memory Sort's record for the same input exactly;
+//     in-memory sort's record for the same input exactly;
 //   - bucket merge: each rank k-way merges its received segments, ordered
 //     by (source rank, run index), with ties inside the merge breaking by
 //     segment order.
@@ -29,10 +29,9 @@ package dist
 // concatenated buckets form the same stable sort the serial radix kernel
 // produces.
 //
-// This file holds the shared schedule steps and the simulated execution;
-// rank.go executes the identical schedule on p concurrent goroutine ranks
-// (sortExternalRank), with storage failures agreed through an unmetered
-// control-plane barrier so no rank strands another inside a collective.
+// sortExternalRank below is the rank program; storage failures are agreed
+// through an unmetered control-plane barrier so no rank strands another
+// inside a collective.
 
 import (
 	"context"
@@ -83,11 +82,11 @@ func (cfg ExtSortConfig) withDefaults() ExtSortConfig {
 // ExtSortResult is the outcome of an out-of-core distributed sort.
 type ExtSortResult struct {
 	// Sorted is the globally sorted edge list, bit-for-bit equal to
-	// xsort.RadixByU of the input (and to Sort's output) for every p and
-	// every RunEdges.
+	// xsort.RadixByU of the input (and to OpSort's output) for every p
+	// and every RunEdges.
 	Sorted *edge.List
 	// Comm records the sample gather, splitter broadcast and segment
-	// all-to-all — equal to the in-memory Sort's record for the same
+	// all-to-all — equal to the in-memory sort's record for the same
 	// input, because splitters and chunk bounds are identical and spilling
 	// moves no extra bytes over the wire.
 	Comm CommStats
@@ -112,8 +111,7 @@ func extRunName(prefix string, codec fastio.Codec, rank, run int) string {
 
 // extSpillRuns forms one rank's sorted runs from the chunk [lo, hi) of l:
 // slices of at most runEdges edges, each stably radix-sorted in a bounded
-// buffer and spilled to fs — the run-formation step, shared by both
-// runtimes.  The input list is never mutated.  The returned names include
+// buffer and spilled to fs — the run-formation step.  The input list is never mutated.  The returned names include
 // any file a failed spill may have partially created, so RemoveRuns over
 // them restores the FS.
 func extSpillRuns(fs vfs.FS, prefix string, codec fastio.Codec, l *edge.List, rank, lo, hi, runEdges int) ([]string, error) {
@@ -170,43 +168,13 @@ func extPartitionRun(fs vfs.FS, name string, codec fastio.Codec, splitters []uin
 	}
 }
 
-// SortExternal performs the out-of-core distributed sample sort of l by
-// start vertex over p simulated processors, spilling per-rank sorted runs
-// to cfg.FS and merging per-bucket run segments.  The input is not
-// modified.
-//
-// Deprecated: use Execute with OpSortExternal.
-func SortExternal(l *edge.List, p int, cfg ExtSortConfig) (*ExtSortResult, error) {
-	return SortExternalMode(ExecSim, l, p, cfg)
-}
-
-// SortExternalMode executes the out-of-core distributed sample sort in
-// the given execution mode.
-//
-// Deprecated: use Execute with OpSortExternal.
-func SortExternalMode(mode ExecMode, l *edge.List, p int, cfg ExtSortConfig) (*ExtSortResult, error) {
-	out, err := Execute(context.Background(), Spec{
-		Config: Config{Mode: mode}, Op: OpSortExternal, Edges: l, Procs: p, Ext: cfg,
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out.ExtSort, nil
-}
-
 // executeSortExternal dispatches the out-of-core distributed sample sort.
-// Validation, configuration defaulting, the empty-input result and the
-// spill metering live here, once, so the two modes cannot drift on the
-// input contract; both produce bit-for-bit identical output and identical
-// CommStats and Spill records.
+// Configuration defaulting, the empty-input result and the spill metering
+// live here, once, so the two fabrics cannot drift on the input contract;
+// both produce bit-for-bit identical output and identical CommStats and
+// Spill records.  Execute validated the inputs.
 func executeSortExternal(ctx context.Context, spec Spec) (*ExtSortResult, error) {
 	l, p := spec.Edges, spec.Procs
-	if l == nil {
-		return nil, fmt.Errorf("dist: SortExternal of nil edge list")
-	}
-	if p < 1 {
-		return nil, fmt.Errorf("dist: SortExternal with p = %d, want >= 1", p)
-	}
 	cfg := spec.Ext.withDefaults()
 	if l.Len() == 0 {
 		return &ExtSortResult{Sorted: edge.NewList(0), RunsPerRank: make([]int, p)}, nil
@@ -224,14 +192,7 @@ func executeSortExternal(ctx context.Context, spec Spec) (*ExtSortResult, error)
 		return res, nil
 	}
 	meter := vfs.NewMetered(cfg.FS)
-	var res *ExtSortResult
-	var err error
-	switch spec.Mode {
-	case ExecSim:
-		res, err = sortExternalSim(ctx, l, p, cfg, meter)
-	case ExecGoroutine:
-		res, err = sortExternalGoroutine(ctx, l, p, cfg, meter)
-	}
+	res, err := sortExternalGoroutine(ctx, l, p, cfg, meter)
 	if err != nil {
 		return nil, err
 	}
@@ -240,72 +201,75 @@ func executeSortExternal(ctx context.Context, spec Spec) (*ExtSortResult, error)
 	return res, nil
 }
 
-// sortExternalSim is the simulated execution of the out-of-core sort's
-// schedule; inputs were validated and defaulted by executeSortExternal.
-func sortExternalSim(ctx context.Context, l *edge.List, p int, cfg ExtSortConfig, fs vfs.FS) (res *ExtSortResult, err error) {
-	m := l.Len()
-	c := &comm{p: p}
+// sortExternalGoroutine executes OpSortExternal on goroutine ranks; each
+// rank spills, samples, routes run segments and merges its bucket, and
+// the driver concatenates the buckets in rank order.  Inputs were
+// validated and defaulted by Execute.
+func sortExternalGoroutine(ctx context.Context, l *edge.List, p int, cfg ExtSortConfig, fs vfs.FS) (*ExtSortResult, error) {
+	out, err := spawnRanks(ctx, p, func(c *rankComm) rankOutcome {
+		bucket, runs, err := sortExternalRank(c, l, fs, cfg.TmpPrefix, cfg.Codec, cfg.RunEdges)
+		return rankOutcome{edges: bucket, runs: runs, err: err}
+	})
+	if err != nil {
+		return nil, err
+	}
+	sorted := edge.NewList(l.Len())
+	runsPerRank := make([]int, p)
+	for r, o := range out.outcomes {
+		sorted.AppendList(o.edges)
+		runsPerRank[r] = o.runs
+	}
+	return &ExtSortResult{Sorted: sorted, Comm: out.result.Comm, RunsPerRank: runsPerRank}, nil
+}
 
-	// Phase 1: each rank forms its bounded sorted runs.  Whatever happens
-	// below, the spilled runs are gone when the sort returns.
-	names := make([][]string, p)
+// sortExternalRank is one rank's out-of-core sample-sort program: spill
+// the owned chunk as bounded sorted runs, agree that every rank's spill
+// succeeded (control-plane barrier — a storage failure anywhere aborts all
+// ranks before the next collective), run the in-memory sort's sample and
+// splitter schedule, split each run at the splitters and exchange the
+// segments, then k-way merge the received segments in (source rank, run)
+// order.  The rank's own run files are removed before it returns, on every
+// path.
+func sortExternalRank(c *rankComm, l *edge.List, fs vfs.FS, prefix string, codec fastio.Codec, runEdges int) (bucket *edge.List, runs int, err error) {
+	p := c.procs()
+	m := l.Len()
+	lo, hi := blockBounds(m, p, c.rank)
+	names, spillErr := extSpillRuns(fs, prefix, codec, l, c.rank, lo, hi, runEdges)
 	defer func() {
-		for _, ns := range names {
-			if rmErr := xsort.RemoveRuns(fs, ns); rmErr != nil && err == nil {
-				res, err = nil, rmErr
-			}
+		if rmErr := xsort.RemoveRuns(fs, names); rmErr != nil && err == nil {
+			bucket, err = nil, rmErr
 		}
 	}()
-	runsPerRank := make([]int, p)
-	for r := 0; r < p; r++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
-		}
-		lo, hi := blockBounds(m, p, r)
-		ns, spillErr := extSpillRuns(fs, cfg.TmpPrefix, cfg.Codec, l, r, lo, hi, cfg.RunEdges)
-		names[r] = ns
-		if spillErr != nil {
-			return nil, spillErr
-		}
-		runsPerRank[r] = len(ns)
+	if err := c.agreeError(spillErr); err != nil {
+		return nil, len(names), err
 	}
 
-	// Phase 2: samples are gathered at rank 0, which selects the
-	// splitters and broadcasts them — the identical steps the in-memory
-	// Sort executes, so buckets (and the all-to-all volume) match it
-	// exactly.
-	splitters := c.broadcastKeys(chooseSplitters(gatherSamples(c, l), p))
+	splitters := splitterPhase(c, l, lo, hi)
 
-	// Phase 3: stream every run back, split it at the splitters, and
-	// route the segments to their bucket owners.  Iterating sources in
-	// rank order and runs in run order delivers each bucket's segments in
-	// global input order — the stability invariant.
-	segs := make([][]*edge.List, p)
-	for src := 0; src < p; src++ {
-		if err := ctx.Err(); err != nil {
-			return nil, err
+	out := make([][]*edge.List, p)
+	var partErr error
+	for _, name := range names {
+		parts, perr := extPartitionRun(fs, name, codec, splitters, p)
+		if perr != nil {
+			partErr = perr
+			break
 		}
-		for _, name := range names[src] {
-			parts, perr := extPartitionRun(fs, name, cfg.Codec, splitters, p)
-			if perr != nil {
-				return nil, perr
-			}
-			for d, part := range parts {
-				if part.Len() == 0 {
-					continue
-				}
-				segs[d] = append(segs[d], part)
-				if d != src {
-					c.st.AllToAllBytes += edgeWireBytes * uint64(part.Len())
-				}
+		for d, part := range parts {
+			if part.Len() > 0 {
+				out[d] = append(out[d], part)
 			}
 		}
 	}
-
-	// Phase 4: per-bucket k-way merges, concatenated in rank order.
-	out := edge.NewList(m)
-	for d := 0; d < p; d++ {
-		xsort.MergeLists(segs[d], out, false)
+	if err := c.agreeError(partErr); err != nil {
+		return nil, len(names), err
 	}
-	return &ExtSortResult{Sorted: out, Comm: c.st, RunsPerRank: runsPerRank}, nil
+
+	in := c.exchangeSegments(out)
+	var ordered []*edge.List
+	for _, group := range in {
+		ordered = append(ordered, group...)
+	}
+	bucket = edge.NewList(0)
+	xsort.MergeLists(ordered, bucket, false)
+	return bucket, len(names), nil
 }

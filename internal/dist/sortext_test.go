@@ -1,8 +1,8 @@
 package dist_test
 
 // Property tests for the out-of-core distributed sample sort: for every
-// processor count, every run-buffer size and both execution modes the
-// output must equal the serial stable radix sort bit for bit, the
+// processor count and every run-buffer size the output must equal the
+// serial stable radix sort bit for bit, the
 // communication record must equal the in-memory distributed sort's, the
 // spill I/O must account for exactly one write and one read-back of every
 // edge, and the run files must be gone afterwards — on failure paths too.
@@ -72,8 +72,6 @@ func runEdgesChoices(m, p int) []int {
 	return []int{m + 1, two, 7}
 }
 
-var execModes = []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine}
-
 func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 	for name, l := range adversarialInputs(t) {
 		want := l.Clone()
@@ -81,7 +79,7 @@ func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 		for _, p := range procCounts {
 			// The in-memory distributed sort is the communication
 			// reference: spilling must not change what crosses the wire.
-			ref, err := dist.Sort(l, p)
+			ref, err := sortOp(dist.Config{}, l, p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -90,32 +88,30 @@ func TestSortExternalEqualsSerialBitForBit(t *testing.T) {
 				m = 1
 			}
 			for _, runEdges := range runEdgesChoices(m, p) {
-				for _, mode := range execModes {
-					fs := vfs.NewMem()
-					res, err := dist.SortExternalMode(mode, l, p, dist.ExtSortConfig{FS: fs, RunEdges: runEdges})
-					if err != nil {
-						t.Fatalf("%s p=%d runEdges=%d %v: %v", name, p, runEdges, mode, err)
-					}
-					if !res.Sorted.Equal(want) {
-						t.Fatalf("%s p=%d runEdges=%d %v: output differs from serial radix sort", name, p, runEdges, mode)
-					}
-					if !res.Sorted.SameMultiset(l) {
-						t.Fatalf("%s p=%d runEdges=%d %v: sort lost edges", name, p, runEdges, mode)
-					}
-					if l.Len() > 0 && res.Comm != ref.Comm {
-						t.Errorf("%s p=%d runEdges=%d %v: comm %+v, in-memory sort %+v",
-							name, p, runEdges, mode, res.Comm, ref.Comm)
-					}
-					if p == 1 && res.Comm != (dist.CommStats{}) {
-						t.Errorf("%s p=1 %v: nonzero comm %+v", name, mode, res.Comm)
-					}
-					names, err := fs.List()
-					if err != nil {
-						t.Fatal(err)
-					}
-					if len(names) != 0 {
-						t.Errorf("%s p=%d runEdges=%d %v: run files left behind: %v", name, p, runEdges, mode, names)
-					}
+				fs := vfs.NewMem()
+				res, err := sortExtOp(dist.Config{}, l, p, dist.ExtSortConfig{FS: fs, RunEdges: runEdges})
+				if err != nil {
+					t.Fatalf("%s p=%d runEdges=%d: %v", name, p, runEdges, err)
+				}
+				if !res.Sorted.Equal(want) {
+					t.Fatalf("%s p=%d runEdges=%d: output differs from serial radix sort", name, p, runEdges)
+				}
+				if !res.Sorted.SameMultiset(l) {
+					t.Fatalf("%s p=%d runEdges=%d: sort lost edges", name, p, runEdges)
+				}
+				if l.Len() > 0 && res.Comm != ref.Comm {
+					t.Errorf("%s p=%d runEdges=%d: comm %+v, in-memory sort %+v",
+						name, p, runEdges, res.Comm, ref.Comm)
+				}
+				if p == 1 && res.Comm != (dist.CommStats{}) {
+					t.Errorf("%s p=1: nonzero comm %+v", name, res.Comm)
+				}
+				names, err := fs.List()
+				if err != nil {
+					t.Fatal(err)
+				}
+				if len(names) != 0 {
+					t.Errorf("%s p=%d runEdges=%d: run files left behind: %v", name, p, runEdges, names)
 				}
 			}
 		}
@@ -126,42 +122,44 @@ func TestSortExternalModesAgreeOnSpillAndRuns(t *testing.T) {
 	l, _ := kron(t, 8, 3)
 	for _, p := range procCounts {
 		for _, runEdges := range runEdgesChoices(l.Len(), p) {
-			sim, err := dist.SortExternal(l, p, dist.ExtSortConfig{RunEdges: runEdges})
-			if err != nil {
-				t.Fatal(err)
-			}
-			gor, err := dist.SortExternalMode(dist.ExecGoroutine, l, p, dist.ExtSortConfig{RunEdges: runEdges})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !sim.Sorted.Equal(gor.Sorted) {
-				t.Fatalf("p=%d runEdges=%d: modes disagree on output", p, runEdges)
-			}
-			if sim.Comm != gor.Comm {
-				t.Errorf("p=%d runEdges=%d: comm sim %+v, goroutine %+v", p, runEdges, sim.Comm, gor.Comm)
-			}
-			if sim.Spill != gor.Spill {
-				t.Errorf("p=%d runEdges=%d: spill sim %+v, goroutine %+v", p, runEdges, sim.Spill, gor.Spill)
-			}
-			// Every rank spills ceil(chunk/runEdges) runs; both modes must
-			// report the same counts, and every edge is written and read
-			// back exactly once at 16 bytes.
-			totalRuns := 0
-			for r, runs := range sim.RunsPerRank {
-				if runs != gor.RunsPerRank[r] {
-					t.Fatalf("p=%d runEdges=%d: rank %d runs sim %d, goroutine %d",
-						p, runEdges, r, runs, gor.RunsPerRank[r])
+			var ref *dist.ExtSortResult
+			for _, mode := range gridFabrics(p) {
+				res, err := sortExtOp(dist.Config{Mode: mode}, l, p, dist.ExtSortConfig{RunEdges: runEdges})
+				if err != nil {
+					t.Fatal(err)
 				}
+				if ref == nil {
+					ref = res
+					continue
+				}
+				if !res.Sorted.Equal(ref.Sorted) {
+					t.Fatalf("p=%d runEdges=%d: %v disagrees with goroutine on output", p, runEdges, mode)
+				}
+				if res.Comm != ref.Comm || res.Spill != ref.Spill {
+					t.Errorf("p=%d runEdges=%d: %v comm/spill %+v/%+v, goroutine %+v/%+v",
+						p, runEdges, mode, res.Comm, res.Spill, ref.Comm, ref.Spill)
+				}
+				for r, runs := range ref.RunsPerRank {
+					if runs != res.RunsPerRank[r] {
+						t.Fatalf("p=%d runEdges=%d: rank %d runs goroutine %d, %v %d",
+							p, runEdges, r, runs, mode, res.RunsPerRank[r])
+					}
+				}
+			}
+			// Every rank spills ceil(chunk/runEdges) runs, and every edge
+			// is written and read back exactly once at 16 bytes.
+			totalRuns := 0
+			for _, runs := range ref.RunsPerRank {
 				totalRuns += runs
 			}
 			wantBytes := int64(16 * l.Len())
-			if sim.Spill.BytesWritten != wantBytes || sim.Spill.BytesRead != wantBytes {
+			if ref.Spill.BytesWritten != wantBytes || ref.Spill.BytesRead != wantBytes {
 				t.Errorf("p=%d runEdges=%d: spill I/O %+v, want %d bytes each way",
-					p, runEdges, sim.Spill, wantBytes)
+					p, runEdges, ref.Spill, wantBytes)
 			}
-			if int(sim.Spill.Creates) != totalRuns || int(sim.Spill.Opens) != totalRuns {
+			if int(ref.Spill.Creates) != totalRuns || int(ref.Spill.Opens) != totalRuns {
 				t.Errorf("p=%d runEdges=%d: %d creates / %d opens for %d runs",
-					p, runEdges, sim.Spill.Creates, sim.Spill.Opens, totalRuns)
+					p, runEdges, ref.Spill.Creates, ref.Spill.Opens, totalRuns)
 			}
 		}
 	}
@@ -175,40 +173,38 @@ func TestSortExternalStorageFailureLeavesFSClean(t *testing.T) {
 		"readback-fails": writeBytes + 8,
 	}
 	for stage, budget := range budgets {
-		for _, mode := range execModes {
-			mem := vfs.NewMem()
-			fs := vfs.NewFaulty(mem, budget)
-			_, err := dist.SortExternalMode(mode, l, 4, dist.ExtSortConfig{FS: fs, RunEdges: 64})
-			if err == nil {
-				t.Fatalf("%s %v: injected storage failure not surfaced", stage, mode)
-			}
-			if !strings.Contains(err.Error(), vfs.ErrInjected.Error()) {
-				t.Fatalf("%s %v: unexpected error %v", stage, mode, err)
-			}
-			names, lerr := mem.List()
-			if lerr != nil {
-				t.Fatal(lerr)
-			}
-			if len(names) != 0 {
-				t.Errorf("%s %v: failed sort left run files: %v", stage, mode, names)
-			}
+		mem := vfs.NewMem()
+		fs := vfs.NewFaulty(mem, budget)
+		_, err := sortExtOp(dist.Config{}, l, 4, dist.ExtSortConfig{FS: fs, RunEdges: 64})
+		if err == nil {
+			t.Fatalf("%s: injected storage failure not surfaced", stage)
+		}
+		if !strings.Contains(err.Error(), vfs.ErrInjected.Error()) {
+			t.Fatalf("%s: unexpected error %v", stage, err)
+		}
+		names, lerr := mem.List()
+		if lerr != nil {
+			t.Fatal(lerr)
+		}
+		if len(names) != 0 {
+			t.Errorf("%s: failed sort left run files: %v", stage, names)
 		}
 	}
 }
 
 func TestSortExternalRejectsBadInput(t *testing.T) {
-	for _, mode := range execModes {
-		if _, err := dist.SortExternalMode(mode, nil, 2, dist.ExtSortConfig{}); err == nil {
+	for _, mode := range fabrics {
+		if _, err := sortExtOp(dist.Config{Mode: mode}, nil, 2, dist.ExtSortConfig{}); err == nil {
 			t.Errorf("%v: nil list accepted", mode)
 		}
-		if _, err := dist.SortExternalMode(mode, edge.NewList(0), 0, dist.ExtSortConfig{}); err == nil {
+		if _, err := sortExtOp(dist.Config{Mode: mode}, edge.NewList(0), 0, dist.ExtSortConfig{}); err == nil {
 			t.Errorf("%v: p = 0 accepted", mode)
 		}
 	}
 }
 
 // TestSortAdversarialBothModes extends the in-memory sort's bit-for-bit
-// property to the adversarial inputs in both execution modes — the
+// property to the adversarial inputs on both fabrics — the
 // duplicate-heavy and presorted cases exercise the deduplicating splitter
 // selection.
 func TestSortAdversarialBothModes(t *testing.T) {
@@ -217,8 +213,8 @@ func TestSortAdversarialBothModes(t *testing.T) {
 		xsort.RadixByU(want)
 		for _, p := range procCounts {
 			var ref *dist.SortResult
-			for _, mode := range execModes {
-				res, err := dist.SortMode(mode, l, p)
+			for _, mode := range gridFabrics(p) {
+				res, err := sortOp(dist.Config{Mode: mode}, l, p)
 				if err != nil {
 					t.Fatalf("%s p=%d %v: %v", name, p, mode, err)
 				}
@@ -242,15 +238,15 @@ func TestSortAdversarialBothModes(t *testing.T) {
 func TestSortExternalSpillCodec(t *testing.T) {
 	l, _ := kron(t, 8, 3)
 	for _, p := range []int{1, 3, 4} {
-		def, err := dist.SortExternal(l, p, dist.ExtSortConfig{RunEdges: 300})
+		def, err := sortExtOp(dist.Config{}, l, p, dist.ExtSortConfig{RunEdges: 300})
 		if err != nil {
 			t.Fatal(err)
 		}
 		if def.SpillCodec != "bin" {
 			t.Errorf("p=%d: default spill codec %q, want bin", p, def.SpillCodec)
 		}
-		for _, mode := range []dist.ExecMode{dist.ExecSim, dist.ExecGoroutine} {
-			res, err := dist.SortExternalMode(mode, l, p, dist.ExtSortConfig{
+		for _, mode := range fabrics {
+			res, err := sortExtOp(dist.Config{Mode: mode}, l, p, dist.ExtSortConfig{
 				RunEdges: 300, Codec: fastio.Packed{},
 			})
 			if err != nil {

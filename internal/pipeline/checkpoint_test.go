@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"errors"
 	"io"
 	"maps"
@@ -288,14 +289,14 @@ func TestCheckpointSaveAtomic(t *testing.T) {
 }
 
 // TestPipelineCheckpointKillAndResume drives the full pipeline with the
-// distributed goroutine variant, kills a rank mid-kernel-3, and reruns
+// distributed variant, kills a rank mid-kernel-3, and reruns
 // with Resume: the second run restarts from the last committed epoch,
 // emits checkpoint events on the Progress stream, and lands bit-for-bit
 // on the uninterrupted pipeline's rank vector.
 func TestPipelineCheckpointKillAndResume(t *testing.T) {
-	base := Config{Scale: 7, EdgeFactor: 8, Seed: 3, Variant: "distgo", KeepRank: true,
+	base := Config{Scale: 7, EdgeFactor: 8, Seed: 3, Variant: "dist", KeepRank: true,
 		PageRank: pagerank.Options{Seed: 3, Iterations: 10}}
-	uninterrupted, err := Execute(base)
+	uninterrupted, err := ExecuteContext(context.Background(), base)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -310,7 +311,7 @@ func TestPipelineCheckpointKillAndResume(t *testing.T) {
 			killSaves = append(killSaves, ev.Iteration)
 		}
 	}
-	if _, err := Execute(kill); !errors.Is(err, dist.ErrFaultInjected) {
+	if _, err := ExecuteContext(context.Background(), kill); !errors.Is(err, dist.ErrFaultInjected) {
 		t.Fatalf("killed run: err = %v, want ErrFaultInjected", err)
 	}
 	if len(killSaves) != 2 || killSaves[0] != 3 || killSaves[1] != 6 {
@@ -328,7 +329,7 @@ func TestPipelineCheckpointKillAndResume(t *testing.T) {
 			iterEvents = append(iterEvents, ev.Iteration)
 		}
 	}
-	res, err := Execute(resume)
+	res, err := ExecuteContext(context.Background(), resume)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -364,7 +365,7 @@ func TestPipelineCheckpointRejectsSerialVariant(t *testing.T) {
 	if err := cfg.Validate(); err == nil {
 		t.Fatal("serial variant accepted a fault plan")
 	}
-	for _, v := range []string{"dist", "distgo", "distext"} {
+	for _, v := range []string{"dist", "distext"} {
 		cfg = Config{Scale: 6, Variant: v, Checkpoint: dist.CheckpointSpec{FS: vfs.NewMem()}}
 		if err := cfg.Validate(); err != nil {
 			t.Fatalf("variant %s rejected a checkpoint spec: %v", v, err)

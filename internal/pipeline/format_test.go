@@ -1,6 +1,7 @@
 package pipeline
 
 import (
+	"context"
 	"fmt"
 	"testing"
 
@@ -52,7 +53,7 @@ func TestSerialVariantsFormatInvariant(t *testing.T) {
 					Variant: variant, Format: format, KeepRank: true,
 					FS: vfs.NewMem(), RunEdges: 200,
 				}
-				res, err := Execute(cfg)
+				res, err := ExecuteContext(context.Background(), cfg)
 				if err != nil {
 					t.Fatalf("format %s: %v", format, err)
 				}
@@ -75,52 +76,50 @@ func TestSerialVariantsFormatInvariant(t *testing.T) {
 
 // TestDistFormatInvariant is the acceptance property: ranks and the
 // communication record bit-for-bit identical across tsv/bin/packed for
-// p ∈ {1,2,3,5,8} in both distributed exec modes, on both the in-memory
-// and the out-of-core distributed variants.
+// p ∈ {1,2,3,5,8} on goroutine ranks, on both the in-memory and the
+// out-of-core distributed variants.
 func TestDistFormatInvariant(t *testing.T) {
 	for _, variant := range []string{"dist", "distext"} {
-		for _, mode := range []string{"sim", "goroutine"} {
-			for _, p := range []int{1, 2, 3, 5, 8} {
-				t.Run(fmt.Sprintf("%s/%s/p%d", variant, mode, p), func(t *testing.T) {
-					var base *Result
-					var baseFormat string
-					for _, format := range []string{"tsv", "bin", "packed"} {
-						cfg := Config{
-							Scale: 7, EdgeFactor: 8, Seed: 3, NFiles: 2,
-							Variant: variant, Format: format, KeepRank: true,
-							DistMode: mode, Workers: p, RunEdges: 150,
-							FS: vfs.NewMem(),
-						}
-						res, err := Execute(cfg)
-						if err != nil {
-							t.Fatalf("format %s: %v", format, err)
-						}
-						if base == nil {
-							base, baseFormat = res, format
-							continue
-						}
-						for i := range base.Rank {
-							if res.Rank[i] != base.Rank[i] {
-								t.Fatalf("format %s: rank[%d] diverges from %s", format, i, baseFormat)
-							}
-						}
-						if (res.Comm == nil) != (base.Comm == nil) {
-							t.Fatalf("format %s: comm presence diverges from %s", format, baseFormat)
-						}
-						if res.Comm != nil && *res.Comm != *base.Comm {
-							t.Fatalf("format %s: comm %+v diverges from %s %+v", format, *res.Comm, baseFormat, *base.Comm)
-						}
-						if variant == "distext" {
-							if res.Spill == nil || base.Spill == nil {
-								t.Fatal("distext run reported no spill record")
-							}
-							if res.Spill.Runs != base.Spill.Runs {
-								t.Fatalf("format %s: %d spill runs, %s had %d", format, res.Spill.Runs, baseFormat, base.Spill.Runs)
-							}
+		for _, p := range []int{1, 2, 3, 5, 8} {
+			t.Run(fmt.Sprintf("%s/goroutine/p%d", variant, p), func(t *testing.T) {
+				var base *Result
+				var baseFormat string
+				for _, format := range []string{"tsv", "bin", "packed"} {
+					cfg := Config{
+						Scale: 7, EdgeFactor: 8, Seed: 3, NFiles: 2,
+						Variant: variant, Format: format, KeepRank: true,
+						DistMode: "goroutine", Workers: p, RunEdges: 150,
+						FS: vfs.NewMem(),
+					}
+					res, err := ExecuteContext(context.Background(), cfg)
+					if err != nil {
+						t.Fatalf("format %s: %v", format, err)
+					}
+					if base == nil {
+						base, baseFormat = res, format
+						continue
+					}
+					for i := range base.Rank {
+						if res.Rank[i] != base.Rank[i] {
+							t.Fatalf("format %s: rank[%d] diverges from %s", format, i, baseFormat)
 						}
 					}
-				})
-			}
+					if (res.Comm == nil) != (base.Comm == nil) {
+						t.Fatalf("format %s: comm presence diverges from %s", format, baseFormat)
+					}
+					if res.Comm != nil && *res.Comm != *base.Comm {
+						t.Fatalf("format %s: comm %+v diverges from %s %+v", format, *res.Comm, baseFormat, *base.Comm)
+					}
+					if variant == "distext" {
+						if res.Spill == nil || base.Spill == nil {
+							t.Fatal("distext run reported no spill record")
+						}
+						if res.Spill.Runs != base.Spill.Runs {
+							t.Fatalf("format %s: %d spill runs, %s had %d", format, res.Spill.Runs, baseFormat, base.Spill.Runs)
+						}
+					}
+				}
+			})
 		}
 	}
 }
@@ -135,7 +134,7 @@ func TestSpillAccountingByFormat(t *testing.T) {
 			Scale: 8, EdgeFactor: 8, Seed: 3, Variant: "extsort",
 			Format: format, RunEdges: 300, FS: vfs.NewMem(),
 		}
-		res, err := Execute(cfg)
+		res, err := ExecuteContext(context.Background(), cfg)
 		if err != nil {
 			t.Fatalf("format %s: %v", format, err)
 		}

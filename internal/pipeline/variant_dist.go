@@ -1,15 +1,15 @@
 package pipeline
 
-// The dist variants run the pipeline through the distributed-memory
+// The dist variant runs the pipeline through the distributed-memory
 // runtime of internal/dist: kernel 1 is the splitter-based sample sort,
 // kernels 2 and 3 use the 1D row-block decomposition with metered
-// collectives.  "dist" executes the single-threaded simulation, "distgo"
-// the concurrent goroutine-rank runtime (Config.DistMode overrides
-// either).  Results are identical to the serial variants — the sort
-// bit-for-bit, the matrix bit-for-bit, the rank vector to ~1e-12 — and
-// identical between the two modes bit-for-bit, which is exactly the
-// property the paper's §V analysis assumes when it prices the parallel
-// pipeline by communication volume alone (DESIGN.md §5).
+// collectives, executed by concurrent goroutine ranks (Config.DistMode
+// "socket" moves the ranks into worker processes).  Results are identical
+// to the serial variants — the sort bit-for-bit, the matrix bit-for-bit,
+// the rank vector to ~1e-12 — and identical between the two fabrics
+// bit-for-bit, which is exactly the property the paper's §V analysis
+// assumes when it prices the parallel pipeline by communication volume
+// alone (DESIGN.md §5).
 
 import (
 	"repro/internal/dist"
@@ -18,36 +18,21 @@ import (
 	"repro/internal/xsort"
 )
 
-func init() {
-	Register(distVariant{})
-	Register(distVariant{mode: dist.ExecGoroutine})
-}
+func init() { Register(distVariant{}) }
 
-type distVariant struct {
-	// mode is the registered default; Config.DistMode overrides it.
-	mode dist.ExecMode
-}
+type distVariant struct{}
 
 // Name implements Variant.
-func (v distVariant) Name() string {
-	if v.mode == dist.ExecGoroutine {
-		return "distgo"
-	}
-	return "dist"
-}
+func (distVariant) Name() string { return "dist" }
 
 // Description implements Variant.
-func (v distVariant) Description() string {
-	if v.mode == dist.ExecGoroutine {
-		return "goroutine distributed memory: p concurrent ranks exchanging real channel messages, byte counts equal to the simulation and the §V closed form"
-	}
-	return "simulated distributed memory: sample sort, row-block matrix, all-reduce PageRank with exact communication accounting (the paper's §V parallel analysis)"
+func (distVariant) Description() string {
+	return "distributed memory: sample sort, row-block matrix, all-reduce PageRank on concurrent ranks with exact communication accounting (the paper's §V parallel analysis)"
 }
 
 // procs is the processor (rank) count: Config.Workers when set, else a
-// fixed default so results do not depend on the host's CPU count (they
-// would not anyway — both modes are p-invariant — but determinism of the
-// communication record matters for reports).
+// fixed default so the rank vector's reduction order and the
+// communication record do not depend on the host's CPU count.
 func (distVariant) procs(r *Run) int {
 	if r.Cfg.Workers > 0 {
 		return r.Cfg.Workers
@@ -55,17 +40,11 @@ func (distVariant) procs(r *Run) int {
 	return 4
 }
 
-// execMode resolves the effective execution mode: Config.DistMode when
-// set (validated by Config.Validate), else the variant's registered
-// default.
-func (v distVariant) execMode(r *Run) dist.ExecMode {
-	if r.Cfg.DistMode != "" {
-		m, err := dist.ParseExecMode(r.Cfg.DistMode)
-		if err == nil {
-			return m
-		}
-	}
-	return v.mode
+// execMode resolves the execution mode from Config.DistMode (validated
+// by Config.Validate; empty selects goroutine ranks).
+func (distVariant) execMode(r *Run) dist.ExecMode {
+	m, _ := dist.ParseExecMode(r.Cfg.DistMode)
+	return m
 }
 
 // distCfg assembles the full runtime configuration: the resolved

@@ -1,15 +1,14 @@
 package pipeline
 
 // The distext variant is the out-of-core distributed regime: kernel 1 runs
-// dist.SortExternal — per-rank bounded run formation spilled to the
+// dist.OpSortExternal — per-rank bounded run formation spilled to the
 // pipeline's storage, the in-memory sample sort's splitter schedule, a
 // spilled-run all-to-all and per-bucket k-way merges — while kernels 0, 2
-// and 3 are shared with the dist variants.  It is the composition the
+// and 3 are shared with the dist variant.  It is the composition the
 // paper's §IV out-of-core requirement and §V parallel analysis jointly
 // demand for graphs whose edge vectors exceed a single node's RAM.
 // Config.RunEdges bounds the per-rank run buffer (the modeled RAM) and
-// Config.DistMode selects simulated or goroutine-rank execution, exactly
-// as for dist/distgo.
+// Config.DistMode selects goroutine or socket ranks, exactly as for dist.
 
 import (
 	"repro/internal/dist"

@@ -82,10 +82,9 @@ func TestSingleflightConcurrentRuns(t *testing.T) {
 		}
 		if res.Cache.Matrix.Hits == 1 {
 			warm++
-		} else if res.GenCache == nil || res.GenCache.Misses != 1 {
-			// The one cold run descended all the way to generation and
-			// must still populate the deprecated edges-stage alias.
-			t.Fatalf("cold run %d: GenCache alias = %+v, want 1 miss", i, res.GenCache)
+		} else if res.Cache.Edges.Misses != 1 {
+			// The one cold run descended all the way to generation.
+			t.Fatalf("cold run %d: edges stage = %+v, want 1 miss", i, res.Cache.Edges)
 		}
 	}
 	if warm != n-1 {
@@ -98,12 +97,12 @@ func TestSingleflightConcurrentRuns(t *testing.T) {
 func TestRunMatchesOneShot(t *testing.T) {
 	svc := serve.New()
 	defer svc.Close()
-	for _, variant := range []string{"csr", "dist", "distgo"} {
+	for _, variant := range []string{"csr", "dist"} {
 		got, err := svc.Run(context.Background(), runCfg(variant))
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := pipeline.Execute(runCfg(variant))
+		want, err := pipeline.ExecuteContext(context.Background(), runCfg(variant))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,11 +217,11 @@ func waitForGoroutines(t *testing.T, want int) {
 
 // TestCancelMidKernel3 is the redesign's cancellation acceptance test:
 // a context cancelled three iterations into a huge kernel 3 returns
-// context.Canceled promptly in the serial engines and in both
-// distributed execution modes, leaking nothing.
+// context.Canceled promptly in the serial engines and on distributed
+// goroutine ranks, leaking nothing.
 func TestCancelMidKernel3(t *testing.T) {
 	base := runtime.NumGoroutine()
-	for _, variant := range []string{"csr", "dist", "distgo"} {
+	for _, variant := range []string{"csr", "dist"} {
 		svc := serve.New()
 		ctx, cancel := context.WithCancel(context.Background())
 		cfg := runCfg(variant)
@@ -307,21 +306,22 @@ func TestEdgesSingleflight(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if st.CacheMisses != 1 || st.CacheHits != n-1 {
-		t.Fatalf("want 1 miss / %d hits, got %d / %d", n-1, st.CacheMisses, st.CacheHits)
+	if st.CacheEdges.Misses != 1 || st.CacheEdges.Hits != n-1 {
+		t.Fatalf("want 1 miss / %d hits, got %+v", n-1, st.CacheEdges)
 	}
 	// Normalized spellings share the entry.
 	if _, err := svc.Edges(context.Background(), serve.GraphKey{Generator: pipeline.GenKronecker, Scale: 8, EdgeFactor: 16, Seed: 3}); err != nil {
 		t.Fatal(err)
 	}
-	if st := svc.Stats(); st.CacheMisses != 1 {
+	if st := svc.Stats(); st.CacheEdges.Misses != 1 {
 		t.Fatalf("normalized key missed the cache: %+v", st)
 	}
 }
 
-// TestCacheEviction pins the LRU bound.
+// TestCacheEviction pins the LRU bound: a one-byte budget keeps only the
+// most recent deposit resident.
 func TestCacheEviction(t *testing.T) {
-	svc := serve.New(serve.WithCacheCapacity(1))
+	svc := serve.New(serve.WithCacheBudget(1))
 	defer svc.Close()
 	ctx := context.Background()
 	for _, seed := range []uint64{1, 2, 1} { // the third fetch re-generates: seed 1 was evicted
@@ -330,23 +330,23 @@ func TestCacheEviction(t *testing.T) {
 		}
 	}
 	st := svc.Stats()
-	if st.CacheMisses != 3 || st.CacheEntries != 1 {
+	if st.CacheEdges.Misses != 3 || st.CacheEntries != 1 {
 		t.Fatalf("want 3 misses with 1 resident entry, got %+v", st)
 	}
 }
 
-// TestCacheDisabled pins WithCacheCapacity(0): every run generates.
+// TestCacheDisabled pins WithCacheBudget(0): every run generates.
 func TestCacheDisabled(t *testing.T) {
-	svc := serve.New(serve.WithCacheCapacity(0))
+	svc := serve.New(serve.WithCacheBudget(0))
 	defer svc.Close()
 	res, err := svc.Run(context.Background(), runCfg("csr"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.GenCache != nil {
-		t.Fatalf("cache disabled: GenCache should be nil, got %+v", res.GenCache)
+	if res.Cache != nil {
+		t.Fatalf("cache disabled: Cache should be nil, got %+v", res.Cache)
 	}
-	if st := svc.Stats(); st.CacheHits != 0 || st.CacheMisses != 0 || st.CacheEntries != 0 {
+	if st := svc.Stats(); st.CacheEdges != (serve.StageStats{}) || st.CacheEntries != 0 {
 		t.Fatalf("cache disabled: counters moved: %+v", st)
 	}
 }
@@ -359,7 +359,7 @@ func TestRunResumeByKey(t *testing.T) {
 	svc := serve.New()
 	defer svc.Close()
 	ctx := context.Background()
-	cfg := runCfg("distgo")
+	cfg := runCfg("dist")
 	cfg.PageRank = pagerank.Options{Seed: 11, Iterations: 10}
 	uninterrupted, err := svc.Run(ctx, cfg)
 	if err != nil {
@@ -405,7 +405,7 @@ func TestRunStreamCheckpointEvents(t *testing.T) {
 	svc := serve.New()
 	defer svc.Close()
 	ctx := context.Background()
-	cfg := runCfg("distgo")
+	cfg := runCfg("dist")
 	cfg.PageRank = pagerank.Options{Seed: 11, Iterations: 10}
 	cfg.Checkpoint.Every = 3
 	kill := cfg

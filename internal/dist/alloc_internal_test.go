@@ -28,7 +28,7 @@ func testBlock(t testing.TB, p, r int) (*rankState, int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return splitMatrix(out.Build.Matrix, p)[r], n
+	return matrixRank(out.Build.Matrix, p, r), n
 }
 
 func TestHybridStepZeroAllocs(t *testing.T) {
@@ -36,7 +36,7 @@ func TestHybridStepZeroAllocs(t *testing.T) {
 	for _, w := range []int{2, 4} {
 		h := newHybridSpMV(st.blk, w)
 		out := make([]float64, n)
-		r := make([]float64, n)
+		r := make([]float64, st.blk.Rows())
 		for i := range r {
 			r[i] = 1 / float64(n)
 		}
@@ -52,13 +52,13 @@ func TestHybridMatchesSerialBlockVxM(t *testing.T) {
 	// The unit-level bit-equality behind the p×w property tests: the
 	// transposed-gather product must equal the serial scatter exactly.
 	st, n := testBlock(t, 3, 1)
-	r := make([]float64, n)
+	r := make([]float64, st.blk.Rows())
 	for i := range r {
-		r[i] = float64(i%7) / 3
+		r[i] = float64((st.lo+i)%7) / 3
 	}
-	r[st.blk.lo] = 0 // exercise the zero-skip path
+	r[0] = 0 // exercise the zero-skip path
 	want := make([]float64, n)
-	st.blk.vxm(want, r)
+	st.blk.VxM(want, r)
 	for _, w := range []int{2, 3, 8} {
 		h := newHybridSpMV(st.blk, w)
 		got := make([]float64, n)

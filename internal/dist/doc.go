@@ -4,12 +4,15 @@
 // paper's §V (distributed sample sort for kernel 1, 1D row-block
 // decomposition with a rank-vector all-reduce per iteration for kernel 3).
 //
-// Every rank owns a contiguous block of rows (vertices), stored
-// block-locally as a rectangular CSR (hi-lo+1 row pointers, not n+1), and
-// a contiguous chunk of the input edge list.  Data crossing rank
-// boundaries is metered by the collective layer; the closed-form model
-// PredictedCommBytes reproduces the collective volume exactly, byte for
-// byte, which the prreport command asserts.
+// Every rank owns a contiguous block of rows (vertices), stored as a
+// rectangular sparse.CSR (hi-lo+1 row pointers, not n+1), and a
+// contiguous chunk of the input edge list.  The kernel-2 and kernel-3
+// matrix steps on a block are the sparse package's own operations — the
+// ones the serial kernels call — so this package holds no second copy of
+// them.  Data crossing rank boundaries is metered by the collective
+// layer; the closed-form model PredictedCommBytes reproduces the
+// collective volume exactly, byte for byte, which the prreport command
+// asserts.
 //
 // Execute is the single entry point: a Spec names the program (Op), the
 // rank count and the inputs, and its Config picks the fabric (ExecMode)

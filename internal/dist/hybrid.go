@@ -22,6 +22,7 @@ import (
 	"sync"
 
 	"repro/internal/edge"
+	"repro/internal/sparse"
 	"repro/internal/workteam"
 )
 
@@ -48,32 +49,30 @@ func (c Config) workers() int {
 
 // blockCSC is the transpose-once view of a rank's row block: the stored
 // entries regrouped by column, with empty columns elided so the index
-// costs O(nnz) — not the O(n) per rank the rectangular block layout
-// (block.go) exists to avoid.  Within a column, entries appear in
-// ascending local row order, which makes the gather of one column perform
-// the exact addition sequence the serial scatter (block.vxm) performs for
-// that output element.
+// costs O(nnz) — not the O(n) per rank the rectangular row block exists
+// to avoid (sparse.CSR.Transpose would be square).  Within a column,
+// entries appear in ascending block row order, which makes the gather of
+// one column perform the exact addition sequence the serial scatter
+// (sparse.CSR.VxM) performs for that output element.
 type blockCSC struct {
-	// lo is the owned global row offset: global row = lo + rowIdx.
-	lo int
 	// n is the global matrix dimension (the output length).
 	n int
 	// cols lists the present global columns, ascending.
 	cols []uint32
 	// colPtr delimits cols[i]'s entries: [colPtr[i], colPtr[i+1]).
 	colPtr []int64
-	// rowIdx and val hold each entry's local row and value.
+	// rowIdx and val hold each entry's block row and value.
 	rowIdx []uint32
 	val    []float64
 }
 
-// csc builds the transposed view of the block.  One transient full-length
-// cursor array is used during construction; the result holds only
-// O(nnz)-sized storage.
-func (b *block) csc() *blockCSC {
-	nnz := len(b.col)
-	cursor := make([]int64, b.n)
-	for _, c := range b.col {
+// cscOf builds the transposed view of a row block.  One transient
+// full-length cursor array is used during construction; the result holds
+// only O(nnz)-sized storage.
+func cscOf(b *sparse.CSR) *blockCSC {
+	nnz := b.NNZ()
+	cursor := make([]int64, b.N)
+	for _, c := range b.Col {
 		cursor[c]++
 	}
 	ncols := 0
@@ -83,8 +82,7 @@ func (b *block) csc() *blockCSC {
 		}
 	}
 	t := &blockCSC{
-		lo:     b.lo,
-		n:      b.n,
+		n:      b.N,
 		cols:   make([]uint32, ncols),
 		colPtr: make([]int64, ncols+1),
 		rowIdx: make([]uint32, nnz),
@@ -92,7 +90,7 @@ func (b *block) csc() *blockCSC {
 	}
 	ci := 0
 	var w int64
-	for c := 0; c < b.n; c++ {
+	for c := 0; c < b.N; c++ {
 		cnt := cursor[c]
 		if cnt == 0 {
 			continue
@@ -105,27 +103,28 @@ func (b *block) csc() *blockCSC {
 	}
 	t.colPtr[ci] = w
 	// Scatter row-major entries into their columns; scanning rows in
-	// ascending order leaves every column's entries in ascending local
+	// ascending order leaves every column's entries in ascending block
 	// row order.
-	for i := 0; i < b.rows(); i++ {
-		for k := b.rowPtr[i]; k < b.rowPtr[i+1]; k++ {
-			c := b.col[k]
+	for i := 0; i < b.Rows(); i++ {
+		for k := b.RowPtr[i]; k < b.RowPtr[i+1]; k++ {
+			c := b.Col[k]
 			p := cursor[c]
 			t.rowIdx[p] = uint32(i)
-			t.val[p] = b.val[k]
+			t.val[p] = b.Val[k]
 			cursor[c] = p + 1
 		}
 	}
 	return t
 }
 
-// gatherRange computes out[jlo:jhi] of the block's partial product r·A:
-// zeroes for absent columns, and for each present column cols[clo:chi]
-// the gathered sum over its entries in ascending local row order,
-// skipping zero r entries exactly as block.vxm does.  The addition
-// sequence per output element is therefore identical to the serial
-// scatter's, which is what makes the hybrid product bit-for-bit equal to
-// the serial baseline for every worker partition.
+// gatherRange computes out[jlo:jhi] of the block's partial product r·A,
+// r being the block's slice of the rank vector: zeroes for absent
+// columns, and for each present column cols[clo:chi] the gathered sum
+// over its entries in ascending block row order, skipping zero r entries
+// exactly as sparse.CSR.VxM does.  The addition sequence per output
+// element is therefore identical to the serial scatter's, which is what
+// makes the hybrid product bit-for-bit equal to the serial baseline for
+// every worker partition.
 func (t *blockCSC) gatherRange(out, r []float64, jlo, jhi, clo, chi int) {
 	j := jlo
 	for ci := clo; ci < chi; ci++ {
@@ -135,7 +134,7 @@ func (t *blockCSC) gatherRange(out, r []float64, jlo, jhi, clo, chi int) {
 		}
 		var s float64
 		for k := t.colPtr[ci]; k < t.colPtr[ci+1]; k++ {
-			ri := r[t.lo+int(t.rowIdx[k])]
+			ri := r[t.rowIdx[k]]
 			if ri == 0 {
 				continue
 			}
@@ -165,9 +164,9 @@ type hybridSpMV struct {
 
 // newHybridSpMV transposes the block and spawns the team; callers must
 // close it when iteration ends.  workers must be >= 2 (workers <= 1 stays
-// on the serial block.vxm path).
-func newHybridSpMV(blk *block, workers int) *hybridSpMV {
-	t := blk.csc()
+// on the serial sparse.CSR.VxM path).
+func newHybridSpMV(blk *sparse.CSR, workers int) *hybridSpMV {
+	t := cscOf(blk)
 	h := &hybridSpMV{
 		t:  t,
 		jb: make([]int, workers+1),
@@ -196,9 +195,9 @@ func newHybridSpMV(blk *block, workers int) *hybridSpMV {
 	return h
 }
 
-// vxm computes the rank's partial product out = r·A across the team
-// (workteam.Run's happens-before edges keep the workers from racing the
-// caller on out/r).
+// vxm computes the rank's partial product out = r·A across the team, r
+// being the block's slice of the rank vector (workteam.Run's
+// happens-before edges keep the workers from racing the caller on out/r).
 func (h *hybridSpMV) vxm(out, r []float64) {
 	h.out, h.r = out, r
 	h.team.Run()
@@ -208,11 +207,12 @@ func (h *hybridSpMV) vxm(out, r []float64) {
 // afterwards.
 func (h *hybridSpMV) close() { h.team.Close() }
 
-// spmvOf builds the rank's step implementation: the hybrid team when
-// workers > 1 (close the returned team), the serial scatter otherwise.
+// spmvOf builds the rank's block product out = r[lo:hi]·A, taking the
+// block's slice of the rank vector: the hybrid team when workers > 1
+// (close the returned team), the serial scatter otherwise.
 func spmvOf(st *rankState, workers int) (func(out, r []float64), *hybridSpMV) {
 	if workers <= 1 {
-		return st.blk.vxm, nil
+		return st.blk.VxM, nil
 	}
 	h := newHybridSpMV(st.blk, workers)
 	return h.vxm, h

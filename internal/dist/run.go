@@ -2,9 +2,9 @@ package dist
 
 // Distributed kernels 2 and 3: 1D row-block decomposition.  Each processor
 // owns a contiguous block of rows of the adjacency matrix; kernel 2 routes
-// edges to the row owner, builds the block-local counting matrix,
-// all-reduces the in-degree vector to apply the paper's super-node/leaf
-// filter globally, and normalizes rows locally.  Kernel 3 keeps the rank
+// edges to the row owner, builds the block's counting matrix
+// (sparse.FromEdgesRows), all-reduces the in-degree vector to apply the
+// paper's super-node/leaf filter globally, and normalizes rows locally.  Kernel 3 keeps the rank
 // vector replicated: every iteration each processor computes the partial
 // product of its row block and the partials are summed by one all-reduce —
 // the communication pattern whose closed form the paper derives and
@@ -67,15 +67,20 @@ type BuildResult struct {
 }
 
 // rankState is one processor's share of the matrix: the rectangular row
-// block (block-local CSR, hi-lo+1 row pointers) plus the owned dangling
-// rows.  Both runtimes use it; p ranks together hold n+p row pointers,
-// the footprint a real distributed memory forces.
+// block [lo, hi) as a sparse.CSR with hi-lo rows over all n columns, plus
+// the owned dangling rows.  Both fabrics use it; p ranks together hold
+// n+p row pointers, the footprint a real distributed memory forces.
 type rankState struct {
-	blk *block
+	// lo is the first owned global row: block row i is global row lo+i.
+	lo  int
+	blk *sparse.CSR
 	// danglingRows lists owned rows (global indices) with zero out-degree
 	// after filtering.
 	danglingRows []int
 }
+
+// hi returns the end of the owned row range [lo, hi).
+func (st *rankState) hi() int { return st.lo + st.blk.Rows() }
 
 // validateRun checks the preconditions of the kernel-2 ops.  Execute
 // validates before any rank starts, so a bad edge cannot strand the other
@@ -109,57 +114,72 @@ func routeChunk(out []*edge.List, l *edge.List, n, p, lo, hi int) {
 }
 
 // filterBlock applies the kernel-2 filter to one rank's block given the
-// globally reduced in-degree vector, and returns the owned dangling rows
-// (global indices) and the local stored-entry count — the purely local
-// step between the in-degree all-reduce and the NNZ reduction.  The mask
-// rule is sparse.Kernel2Mask, the same the serial
-// filter uses, which is what keeps the distributed filter bit-identical.
-func filterBlock(blk *block, din []float64) (dangling []int, nnz int) {
+// globally reduced in-degree vector, records the owned dangling rows, and
+// returns the local stored-entry count — the purely local step between
+// the in-degree all-reduce and the NNZ reduction.  The calls are
+// pipeline.ApplyKernel2Filter's, on the block's rows, which is what keeps
+// the distributed filter bit-identical to the serial one.
+func filterBlock(st *rankState, din []float64) int {
 	mask, _, _, _ := sparse.Kernel2Mask(din)
-	blk.zeroColumns(mask)
-	blk.compact()
-	dout := blk.outDegrees()
-	blk.scaleRows(dout)
+	st.blk.ZeroColumns(mask)
+	st.blk.Compact()
+	dout := st.blk.OutDegrees()
+	st.blk.ScaleRows(dout)
+	st.setDangling(dout)
+	return st.blk.NNZ()
+}
+
+// setDangling records the owned rows whose out-degree in dout (indexed by
+// block row) is zero.
+func (st *rankState) setDangling(dout []float64) {
 	for i, d := range dout {
 		if d == 0 {
-			dangling = append(dangling, blk.lo+i)
+			st.danglingRows = append(st.danglingRows, st.lo+i)
 		}
 	}
-	return dangling, blk.nnz()
 }
 
-// splitMatrix views a global matrix as p row-block rankStates sharing the
-// original Col/Val storage.
-func splitMatrix(a *sparse.CSR, p int) []*rankState {
-	states := make([]*rankState, p)
-	dout := a.OutDegrees()
-	for r := 0; r < p; r++ {
-		lo, hi := blockBounds(a.N, p, r)
-		st := &rankState{blk: blockOf(a, lo, hi)}
-		for i := lo; i < hi; i++ {
-			if dout[i] == 0 {
-				st.danglingRows = append(st.danglingRows, i)
-			}
-		}
-		states[r] = st
+// rowsOf returns the rows [lo, hi) of a global matrix as a row block
+// sharing its Col/Val storage (the row pointers are rebased into a fresh
+// hi-lo+1 slice).
+func rowsOf(a *sparse.CSR, lo, hi int) *sparse.CSR {
+	base := a.RowPtr[lo]
+	rowPtr := make([]int64, hi-lo+1)
+	for i := range rowPtr {
+		rowPtr[i] = a.RowPtr[lo+i] - base
 	}
-	return states
+	return &sparse.CSR{N: a.N, RowPtr: rowPtr, Col: a.Col[base:a.RowPtr[hi]], Val: a.Val[base:a.RowPtr[hi]]}
 }
 
-// assemble concatenates the disjoint row blocks back into one global CSR.
+// matrixRank is rank r's state for OpRunMatrix: its row block of the
+// given global matrix, viewed in place, and the block's dangling rows.
+func matrixRank(a *sparse.CSR, p, r int) *rankState {
+	lo, hi := blockBounds(a.N, p, r)
+	st := &rankState{lo: lo, blk: rowsOf(a, lo, hi)}
+	st.setDangling(st.blk.OutDegrees())
+	return st
+}
+
+// assemble stacks the disjoint row blocks, in rank order, back into one
+// global n×n CSR.
 func assemble(states []*rankState, n int) *sparse.CSR {
 	nnz := 0
 	for _, st := range states {
-		nnz += st.blk.nnz()
+		nnz += st.blk.NNZ()
 	}
 	out := &sparse.CSR{
 		N:      n,
-		RowPtr: make([]int64, n+1),
+		RowPtr: make([]int64, 1, n+1),
 		Col:    make([]uint32, 0, nnz),
 		Val:    make([]float64, 0, nnz),
 	}
 	for _, st := range states {
-		st.blk.appendTo(out)
+		base := int64(len(out.Col))
+		for _, ptr := range st.blk.RowPtr[1:] {
+			out.RowPtr = append(out.RowPtr, base+ptr)
+		}
+		out.Col = append(out.Col, st.blk.Col...)
+		out.Val = append(out.Val, st.blk.Val...)
 	}
 	return out
 }
@@ -175,18 +195,14 @@ func danglingMassOf(st *rankState, r []float64) float64 {
 }
 
 // runGoroutine executes OpRun or OpRunMatrix on goroutine ranks: OpRun
-// builds each rank's block through kernel 2 first, OpRunMatrix splits the
-// given matrix into row blocks.  Inputs were validated by Execute.
+// builds each rank's block through kernel 2 first, OpRunMatrix views its
+// row block of the given matrix.  Inputs were validated by Execute.
 func runGoroutine(ctx context.Context, spec Spec, ck *ckptRun) (*Result, error) {
 	n, opt, workers := specN(spec), spec.PageRank, spec.workers()
-	var states []*rankState
-	if spec.Op == OpRunMatrix {
-		states = splitMatrix(spec.Matrix, spec.Procs)
-	}
 	out, err := spawnRanks(ctx, spec.Procs, func(c *rankComm) (o rankOutcome) {
 		var st *rankState
-		if states != nil {
-			st = states[c.rank]
+		if spec.Op == OpRunMatrix {
+			st = matrixRank(spec.Matrix, spec.Procs, c.rank)
 		} else {
 			st, o.mass, o.nnz = buildRank(c, spec.Edges, n)
 		}
@@ -243,18 +259,16 @@ func buildRank(c *rankComm, l *edge.List, n int) (*rankState, float64, int) {
 		local.AppendList(part)
 	}
 	rowLo, rowHi := blockBounds(n, p, c.rank)
-	blk, err := buildBlock(local, n, rowLo, rowHi)
+	blk, err := sparse.FromEdgesRows(local, rowLo, rowHi, n)
 	if err != nil {
 		// Unreachable after validateRun; a failure here is a routing bug.
 		panic(err)
 	}
-	mass := c.allReduceScalar(blk.sumValues())
-	din := blk.inDegrees()
+	mass := c.allReduceScalar(blk.SumValues())
+	din := blk.InDegrees()
 	c.allReduceSum(din)
-	st := &rankState{blk: blk}
-	var localNNZ int
-	st.danglingRows, localNNZ = filterBlock(blk, din)
-	nnz := int(c.allReduceScalar(float64(localNNZ)))
+	st := &rankState{lo: rowLo, blk: blk}
+	nnz := int(c.allReduceScalar(float64(filterBlock(st, din))))
 	return st, mass, nnz
 }
 
@@ -302,8 +316,9 @@ func iterateRank(ctx context.Context, c *rankComm, st *rankState, n int, opt pag
 	if h != nil {
 		defer h.close()
 	}
+	lo, hi := st.lo, st.hi()
 	step := func(out, r []float64) {
-		spmv(out, r)
+		spmv(out, r[lo:hi])
 		c.allReduceSum(out)
 	}
 	dangleMass := func(r []float64) float64 {
@@ -313,7 +328,7 @@ func iterateRank(ctx context.Context, c *rankComm, st *rankState, n int, opt pag
 	if err != nil {
 		return nil, 0, err
 	}
-	res, err := e.RunContextAfter(ctx, ck.afterRank(c, st.blk.lo, st.blk.hi))
+	res, err := e.RunContextAfter(ctx, ck.afterRank(c, lo, hi))
 	if err != nil {
 		return nil, 0, err
 	}

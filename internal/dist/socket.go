@@ -510,7 +510,9 @@ func buildFilteredSocket(ctx context.Context, spec Spec) (*BuildResult, error) {
 		if o.Block == nil {
 			return nil, fmt.Errorf("dist: rank %d outcome carries no block", r)
 		}
-		states[r] = o.Block.state()
+		if states[r], err = o.Block.state(spec.N, spec.Procs, r); err != nil {
+			return nil, err
+		}
 	}
 	return &BuildResult{
 		Matrix: assemble(states, spec.N),

@@ -17,7 +17,6 @@ import (
 
 	"repro/internal/dist/fabric"
 	"repro/internal/edge"
-	"repro/internal/fastio"
 	"repro/internal/pagerank"
 	"repro/internal/sparse"
 	"repro/internal/vfs"
@@ -95,8 +94,17 @@ func matrixToWire(a *sparse.CSR) *wireMatrix {
 	return &wireMatrix{N: a.N, RowPtr: a.RowPtr, Col: a.Col, Val: a.Val}
 }
 
-func (m *wireMatrix) csr() *sparse.CSR {
-	return &sparse.CSR{N: m.N, RowPtr: m.RowPtr, Col: m.Col, Val: m.Val}
+// csr checks the decoded matrix — a structurally valid square CSR — and
+// returns it; a malformed job fails here instead of panicking a rank.
+func (m *wireMatrix) csr() (*sparse.CSR, error) {
+	a := &sparse.CSR{N: m.N, RowPtr: m.RowPtr, Col: m.Col, Val: m.Val}
+	if err := a.Validate(); err != nil {
+		return nil, fmt.Errorf("dist: job matrix: %w", err)
+	}
+	if a.Rows() != a.N {
+		return nil, fmt.Errorf("dist: job matrix has %d rows and %d columns, want square", a.Rows(), a.N)
+	}
+	return a, nil
 }
 
 // wireOpt is pagerank.Options minus the function fields, which cannot
@@ -138,23 +146,6 @@ type wireExt struct {
 	RunEdges  int
 	TmpPrefix string
 	CodecName string
-}
-
-// codecByName resolves a spill codec shipped by name; the names are the
-// codecs' own Name() strings.
-func codecByName(name string) (fastio.Codec, error) {
-	switch name {
-	case "", fastio.Binary{}.Name():
-		return fastio.Binary{}, nil
-	case fastio.Packed{}.Name():
-		return fastio.Packed{}, nil
-	case fastio.TSV{}.Name():
-		return fastio.TSV{}, nil
-	case fastio.NaiveTSV{}.Name():
-		return fastio.NaiveTSV{}, nil
-	default:
-		return nil, fmt.Errorf("dist: unknown spill codec %q", name)
-	}
 }
 
 // wireCkpt parameterizes the worker-side checkpoint hook: the epoch
@@ -226,17 +217,33 @@ type wireBlock struct {
 
 func stateToWire(st *rankState) *wireBlock {
 	return &wireBlock{
-		Lo: st.blk.lo, Hi: st.blk.hi, N: st.blk.n,
-		RowPtr: st.blk.rowPtr, Col: st.blk.col, Val: st.blk.val,
+		Lo: st.lo, Hi: st.hi(), N: st.blk.N,
+		RowPtr: st.blk.RowPtr, Col: st.blk.Col, Val: st.blk.Val,
 		DanglingRows: st.danglingRows,
 	}
 }
 
-func (w *wireBlock) state() *rankState {
-	return &rankState{
-		blk:          &block{lo: w.Lo, hi: w.Hi, n: w.N, rowPtr: w.RowPtr, col: w.Col, val: w.Val},
-		danglingRows: w.DanglingRows,
+// state checks a block decoded from rank's outcome — a structurally
+// valid CSR covering exactly rank's rows blockBounds(n, p, rank) of n
+// columns, with its dangling rows among them — and returns it as a
+// rankState; a malformed outcome fails here instead of panicking or
+// corrupting the assembled matrix.
+func (w *wireBlock) state(n, p, rank int) (*rankState, error) {
+	blk := &sparse.CSR{N: w.N, RowPtr: w.RowPtr, Col: w.Col, Val: w.Val}
+	if err := blk.Validate(); err != nil {
+		return nil, fmt.Errorf("dist: rank %d block: %w", rank, err)
 	}
+	lo, hi := blockBounds(n, p, rank)
+	if w.Lo != lo || w.Hi != hi || blk.Rows() != hi-lo || w.N != n {
+		return nil, fmt.Errorf("dist: rank %d block has rows [%d,%d) (%d stored) of %d columns, want [%d,%d) of %d",
+			rank, w.Lo, w.Hi, blk.Rows(), w.N, lo, hi, n)
+	}
+	for _, i := range w.DanglingRows {
+		if i < lo || i >= hi {
+			return nil, fmt.Errorf("dist: rank %d dangling row %d outside [%d,%d)", rank, i, lo, hi)
+		}
+	}
+	return &rankState{lo: lo, blk: blk, danglingRows: w.DanglingRows}, nil
 }
 
 // outcomeErr reconstructs a worker error on the coordinator, preserving

@@ -29,6 +29,7 @@ import (
 
 	"repro/internal/ckpt"
 	"repro/internal/dist/fabric"
+	"repro/internal/fastio"
 	"repro/internal/vfs"
 )
 
@@ -292,7 +293,7 @@ func workerProgram(ctx context.Context, c *rankComm, ctrl *fabric.Link, rank int
 		return nil
 
 	case OpSortExternal:
-		codec, err := codecByName(job.Ext.CodecName)
+		codec, err := fastio.CodecByName(job.Ext.CodecName)
 		if err != nil {
 			return err
 		}
@@ -331,9 +332,12 @@ func workerProgram(ctx context.Context, c *rankComm, ctrl *fabric.Link, rank int
 		var st *rankState
 		n := job.N
 		if Op(job.Op) == OpRunMatrix {
-			a := job.Matrix.csr()
+			a, err := job.Matrix.csr()
+			if err != nil {
+				return err
+			}
 			n = a.N
-			st = splitMatrix(a, job.Procs)[rank]
+			st = matrixRank(a, job.Procs, rank)
 			out.NNZ = a.NNZ()
 		} else {
 			var mass float64

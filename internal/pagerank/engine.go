@@ -11,6 +11,7 @@ package pagerank
 
 import (
 	"context"
+	"runtime"
 
 	"repro/internal/sparse"
 	"repro/internal/workteam"
@@ -276,8 +277,8 @@ type ParallelEngine struct {
 }
 
 // NewParallelEngine validates opt and builds the reusable parallel engine.
-// The worker count is Options.Workers (defaulted like Parallel); tiny
-// problems degenerate to the serial gather exactly as ParallelMxV does.
+// The worker count is Options.Workers, GOMAXPROCS when <= 0; problems with
+// fewer than two rows per worker run the serial gather instead.
 func NewParallelEngine(a *sparse.CSR, opt Options) (*ParallelEngine, error) {
 	if err := opt.Validate(); err != nil {
 		return nil, err
@@ -286,7 +287,10 @@ func NewParallelEngine(a *sparse.CSR, opt Options) (*ParallelEngine, error) {
 		return nil, err
 	}
 	at := a.Transpose()
-	workers := workersOr(opt.Workers)
+	workers := opt.Workers
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
 	pe := &ParallelEngine{}
 	step := func(out, r []float64) { at.MxV(out, r) }
 	if workers >= 2 && a.N >= 2*workers {

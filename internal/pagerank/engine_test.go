@@ -6,6 +6,7 @@ package pagerank
 
 import (
 	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/edge"
@@ -134,6 +135,21 @@ func TestParallelEngineIterateZeroAllocs(t *testing.T) {
 	pe.Engine().Iterate() // warm the team
 	if allocs := testing.AllocsPerRun(50, func() { pe.Engine().Iterate() }); allocs != 0 {
 		t.Errorf("parallel engine Iterate allocates %.1f/op, want 0", allocs)
+	}
+}
+
+func TestParallelEngineWorkersDefaultToGOMAXPROCS(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(3))
+	a := engineTestMatrix(t, 5, 1<<10, 1<<8)
+	for _, tc := range []struct{ workers, want int }{{0, 3}, {-1, 3}, {2, 2}, {5, 5}} {
+		pe, err := NewParallelEngine(a, Options{Seed: 1, Workers: tc.workers})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pe.team == nil || pe.team.team.Size() != tc.want {
+			t.Errorf("Workers=%d: team %+v, want %d workers", tc.workers, pe.team, tc.want)
+		}
+		pe.Close()
 	}
 }
 

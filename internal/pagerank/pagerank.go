@@ -273,13 +273,6 @@ func Parallel(a *sparse.CSR, opt Options) (*Result, error) {
 	return pe.Run(), nil
 }
 
-func workersOr(w int) int {
-	if w <= 0 {
-		return 4
-	}
-	return w
-}
-
 // GraphBLAS runs PageRank expressed over the generic (+, ×) semiring.
 func GraphBLAS(m *graphblas.Matrix[float64], opt Options) (*Result, error) {
 	e, err := NewGraphBLASEngine(m, opt)

@@ -11,6 +11,8 @@
 // values and uint32 column indices (dimension ≤ 2^32, far above feasible
 // benchmark scales), builders from edge lists in several sortedness states,
 // column/row reductions and scaling, transposition, dense conversion for
-// validation, and serial and parallel vector-matrix products in both
-// scatter (row-major) and gather (transposed) forms.
+// validation, and vector-matrix products in both scatter (row-major) and
+// gather (transposed) forms.  The same CSR type holds a rectangular row
+// block, so the distributed kernels (internal/dist) run these operations
+// on each rank's rows instead of keeping a copy of them.
 package sparse

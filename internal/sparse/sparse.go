@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"sync"
 
 	"repro/internal/edge"
 )
@@ -12,13 +11,19 @@ import (
 // MaxDim is the largest supported matrix dimension (uint32 column labels).
 const MaxDim = 1 << 32
 
-// CSR is a square sparse matrix in compressed sparse row form.
+// CSR is a sparse matrix in compressed sparse row form.
 // Row i's entries live in Col[RowPtr[i]:RowPtr[i+1]] (column indices,
 // strictly increasing within a row) and Val likewise.
+//
+// A square matrix has Rows() == N.  A row block — the rows [lo, hi) of a
+// square matrix, as each internal/dist rank holds — has Rows() == hi-lo,
+// local row i being global row lo+i, over all N columns.  OutDegrees,
+// Compact, ScaleRows, VxM and Validate work on either shape; Transpose,
+// MxV, Dense, WriteTo and ReadCSR assume a square matrix.
 type CSR struct {
-	// N is the matrix dimension.
+	// N is the column count (the matrix dimension of a square matrix).
 	N int
-	// RowPtr has length N+1; RowPtr[0] == 0 and RowPtr[N] == NNZ.
+	// RowPtr has length Rows()+1; RowPtr[0] == 0 and RowPtr[Rows()] == NNZ.
 	RowPtr []int64
 	// Col holds the column index of each stored entry.
 	Col []uint32
@@ -28,6 +33,10 @@ type CSR struct {
 
 // NNZ returns the number of stored entries (including explicit zeros).
 func (a *CSR) NNZ() int { return len(a.Col) }
+
+// Rows returns the stored row count: N for a square matrix, hi-lo for a
+// row block.
+func (a *CSR) Rows() int { return len(a.RowPtr) - 1 }
 
 // Footprint returns the matrix's in-memory size in bytes — the three
 // CSR arrays at their allocated capacity.  The service layer's staged
@@ -72,20 +81,24 @@ func (a *CSR) Clone() *CSR {
 }
 
 // Validate checks structural invariants: monotone row pointers, in-range
-// and strictly increasing column indices.  It is used by tests and by the
-// pipeline's self-checks.
+// and strictly increasing column indices.  It is used by tests, by the
+// pipeline's self-checks, and on matrices and row blocks decoded from a
+// socket.  It checks the row pointers before reading any entry, so a
+// malformed matrix yields an error, never a panic.
 func (a *CSR) Validate() error {
-	if len(a.RowPtr) != a.N+1 {
-		return fmt.Errorf("sparse: RowPtr length %d, want N+1 = %d", len(a.RowPtr), a.N+1)
+	if a.N < 0 || a.Rows() < 0 {
+		return fmt.Errorf("sparse: N = %d with RowPtr length %d, want N >= 0 and length >= 1", a.N, len(a.RowPtr))
 	}
-	if a.RowPtr[0] != 0 || a.RowPtr[a.N] != int64(len(a.Col)) || len(a.Col) != len(a.Val) {
+	if a.RowPtr[0] != 0 || a.RowPtr[a.Rows()] != int64(len(a.Col)) || len(a.Col) != len(a.Val) {
 		return fmt.Errorf("sparse: inconsistent RowPtr bounds or slice lengths")
 	}
-	for i := 0; i < a.N; i++ {
-		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
-		if lo > hi {
+	for i := 0; i < a.Rows(); i++ {
+		if a.RowPtr[i] > a.RowPtr[i+1] {
 			return fmt.Errorf("sparse: row %d has negative extent", i)
 		}
+	}
+	for i := 0; i < a.Rows(); i++ {
+		lo, hi := a.RowPtr[i], a.RowPtr[i+1]
 		for k := lo; k < hi; k++ {
 			if int(a.Col[k]) >= a.N {
 				return fmt.Errorf("sparse: row %d entry %d: column %d out of range", i, k, a.Col[k])
@@ -106,35 +119,47 @@ func (a *CSR) Validate() error {
 // the input.  Cost is O(M + N) time using a counting pass over start
 // vertices followed by per-row sorting and duplicate accumulation.
 func FromEdges(l *edge.List, n int) (*CSR, error) {
+	return FromEdgesRows(l, 0, n, n)
+}
+
+// FromEdgesRows is FromEdges for the row block [lo, hi) of the N×N
+// counting matrix: every start vertex must lie in [lo, hi), and the
+// result has hi-lo rows (local row i is global row lo+i) over n columns.
+// The stacked blocks of any row partition equal FromEdges of the whole
+// list bit for bit; internal/dist builds each rank's block with it.
+func FromEdgesRows(l *edge.List, lo, hi, n int) (*CSR, error) {
 	if err := checkDim(n); err != nil {
 		return nil, err
 	}
-	m := l.Len()
-	// Count row occupancy (with duplicates).
-	rowPtr := make([]int64, n+1)
-	for _, u := range l.U {
-		if u >= uint64(n) {
-			return nil, fmt.Errorf("sparse: start vertex %d out of range N=%d", u, n)
-		}
-		rowPtr[u+1]++
+	if lo < 0 || lo > hi || hi > n {
+		return nil, fmt.Errorf("sparse: row range [%d,%d) outside [0,%d]", lo, hi, n)
 	}
-	for i := 0; i < n; i++ {
+	rows, m := hi-lo, l.Len()
+	// Count row occupancy (with duplicates).
+	rowPtr := make([]int64, rows+1)
+	for _, u := range l.U {
+		if u < uint64(lo) || u >= uint64(hi) {
+			return nil, fmt.Errorf("sparse: start vertex %d outside rows [%d,%d)", u, lo, hi)
+		}
+		rowPtr[u-uint64(lo)+1]++
+	}
+	for i := 0; i < rows; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
 	// Scatter columns into row buckets.
 	cols := make([]uint32, m)
-	next := make([]int64, n)
-	copy(next, rowPtr[:n])
+	next := make([]int64, rows)
+	copy(next, rowPtr[:rows])
 	for i := 0; i < m; i++ {
 		v := l.V[i]
 		if v >= uint64(n) {
 			return nil, fmt.Errorf("sparse: end vertex %d out of range N=%d", v, n)
 		}
-		u := l.U[i]
+		u := l.U[i] - uint64(lo)
 		cols[next[u]] = uint32(v)
 		next[u]++
 	}
-	return compressRows(n, rowPtr, cols), nil
+	return compressRows(rows, n, rowPtr, cols), nil
 }
 
 // FromSortedEdges builds the counting adjacency matrix from an edge list
@@ -161,7 +186,7 @@ func FromSortedEdges(l *edge.List, n int) (*CSR, error) {
 	for i := 0; i < n; i++ {
 		rowPtr[i+1] += rowPtr[i]
 	}
-	return compressRows(n, rowPtr, cols), nil
+	return compressRows(n, n, rowPtr, cols), nil
 }
 
 func checkDim(n int) error {
@@ -172,14 +197,14 @@ func checkDim(n int) error {
 }
 
 // compressRows sorts each row bucket of cols, accumulates duplicates into
-// counts, and assembles the final CSR.  rowPtr delimits the uncompressed
-// buckets and is consumed.
-func compressRows(n int, rowPtr []int64, cols []uint32) *CSR {
-	outPtr := make([]int64, n+1)
+// counts, and assembles the final rows×n CSR.  rowPtr delimits the
+// uncompressed buckets and is consumed.
+func compressRows(rows, n int, rowPtr []int64, cols []uint32) *CSR {
+	outPtr := make([]int64, rows+1)
 	outCols := cols[:0] // compact in place: writes never overtake reads
 	vals := make([]float64, 0, len(cols))
 	w := int64(0)
-	for i := 0; i < n; i++ {
+	for i := 0; i < rows; i++ {
 		lo, hi := rowPtr[i], rowPtr[i+1]
 		row := cols[lo:hi]
 		sortUint32(row)
@@ -279,10 +304,11 @@ func (a *CSR) InDegrees() []float64 {
 	return din
 }
 
-// OutDegrees returns the row sums dout = sum(A, 2) as a dense vector.
+// OutDegrees returns the row sums dout = sum(A, 2) as a dense vector of
+// length Rows().
 func (a *CSR) OutDegrees() []float64 {
-	dout := make([]float64, a.N)
-	for i := 0; i < a.N; i++ {
+	dout := make([]float64, a.Rows())
+	for i := range dout {
 		var s float64
 		for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
 			s += a.Val[k]
@@ -310,7 +336,7 @@ func (a *CSR) ZeroColumns(mask []bool) int {
 func (a *CSR) Compact() {
 	w := int64(0)
 	read := int64(0)
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		hi := a.RowPtr[i+1]
 		for ; read < hi; read++ {
 			if a.Val[read] != 0 {
@@ -327,9 +353,9 @@ func (a *CSR) Compact() {
 
 // ScaleRows divides every entry of row i by scale[i] wherever scale[i] is
 // non-zero: the kernel-2 normalization A(i,:) = A(i,:) / dout(i) for
-// dout(i) > 0.
+// dout(i) > 0.  scale has length Rows().
 func (a *CSR) ScaleRows(scale []float64) {
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		s := scale[i]
 		if s == 0 {
 			continue
@@ -430,12 +456,16 @@ func (a *CSR) Dense() ([][]float64, error) {
 
 // VxM computes out = r·A (row vector times matrix) with the scatter
 // formulation: for every stored entry A(i,j), out[j] += r[i]·A(i,j).
-// out must have length N and is overwritten.
+// r has length Rows() — a row block takes its slice r[lo:hi] of the
+// global vector — and out must have length N and is overwritten.  Rows
+// are visited in ascending order, so summing the partial products of a
+// row partition's blocks in block order reproduces the square product's
+// floating-point association.
 func (a *CSR) VxM(out, r []float64) {
 	for i := range out {
 		out[i] = 0
 	}
-	for i := 0; i < a.N; i++ {
+	for i := 0; i < a.Rows(); i++ {
 		ri := r[i]
 		if ri == 0 {
 			continue
@@ -463,7 +493,7 @@ func (a *CSR) MxV(out, x []float64) {
 // restricted to a contiguous row range.  Each output element depends only
 // on its own row, so disjoint ranges may be computed concurrently with no
 // coordination and no effect on the result's bits; this is the primitive
-// the persistent worker teams of pagerank and dist partition over.
+// the persistent worker team of pagerank's parallel engine partitions over.
 func (a *CSR) MxVRange(out, x []float64, lo, hi int) {
 	for i := lo; i < hi; i++ {
 		var s float64
@@ -471,118 +501,6 @@ func (a *CSR) MxVRange(out, x []float64, lo, hi int) {
 			s += a.Val[k] * x[a.Col[k]]
 		}
 		out[i] = s
-	}
-}
-
-// ParallelMxV computes out = A·x splitting rows across workers goroutines.
-// Row partitioning makes the gather product embarrassingly parallel, which
-// is why the paper's proposed decomposition stores row blocks per processor.
-func (a *CSR) ParallelMxV(out, x []float64, workers int) {
-	if workers < 2 || a.N < 2*workers {
-		a.MxV(out, x)
-		return
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * a.N / workers
-		hi := (w + 1) * a.N / workers
-		wg.Add(1)
-		//prlint:allow determinism -- row-parallel MxV: workers write disjoint out[lo:hi] ranges and join on wg
-		go func(lo, hi int) {
-			defer wg.Done()
-			a.MxVRange(out, x, lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
-
-// VxMScratch holds the per-worker private accumulators of ParallelVxMWith,
-// so repeated products reuse one workers·N float allocation instead of
-// churning it every call.  A scratch may be reused across matrices and
-// worker counts; Ensure grows it as needed.  The zero value is ready to
-// use.  A scratch must not be shared by concurrent products.
-type VxMScratch struct {
-	acc [][]float64
-}
-
-// Ensure grows the scratch to hold workers accumulators of length n.
-func (s *VxMScratch) Ensure(n, workers int) {
-	if len(s.acc) < workers {
-		acc := make([][]float64, workers)
-		copy(acc, s.acc)
-		s.acc = acc
-	}
-	for w := 0; w < workers; w++ {
-		if len(s.acc[w]) < n {
-			s.acc[w] = make([]float64, n)
-		}
-	}
-}
-
-// vxmPool recycles scratches for the one-shot ParallelVxM entry point, so
-// even callers without a scratch of their own stop allocating workers·N
-// floats per call in steady state.
-var vxmPool = sync.Pool{New: func() any { return new(VxMScratch) }}
-
-// ParallelVxM computes out = r·A with per-worker private accumulators that
-// are reduced at the end, avoiding write conflicts on out.  The
-// accumulators come from an internal pool, so repeated calls do not churn
-// workers·N temporary floats; callers iterating a fixed problem should
-// hold a VxMScratch and call ParallelVxMWith, and callers preferring
-// memory economy can transpose once and use ParallelMxV.
-func (a *CSR) ParallelVxM(out, r []float64, workers int) {
-	if workers < 2 || a.N < 2*workers {
-		a.VxM(out, r)
-		return
-	}
-	s := vxmPool.Get().(*VxMScratch)
-	a.ParallelVxMWith(out, r, workers, s)
-	vxmPool.Put(s)
-}
-
-// ParallelVxMWith is ParallelVxM backed by a caller-owned scratch.  The
-// per-worker partial accumulators are reduced into out in ascending worker
-// order, so the result is deterministic for a fixed worker count (workers
-// partition distinct row ranges, so the floating-point association — and
-// therefore the bits — depends on workers).
-func (a *CSR) ParallelVxMWith(out, r []float64, workers int, s *VxMScratch) {
-	if workers < 2 || a.N < 2*workers {
-		a.VxM(out, r)
-		return
-	}
-	s.Ensure(a.N, workers)
-	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		lo := w * a.N / workers
-		hi := (w + 1) * a.N / workers
-		wg.Add(1)
-		//prlint:allow determinism -- per-worker accumulators are folded in fixed worker order after wg.Wait, so the FP sum is reproducible
-		go func(w, lo, hi int) {
-			defer wg.Done()
-			acc := s.acc[w][:a.N]
-			for i := range acc {
-				acc[i] = 0
-			}
-			for i := lo; i < hi; i++ {
-				ri := r[i]
-				if ri == 0 {
-					continue
-				}
-				for k := a.RowPtr[i]; k < a.RowPtr[i+1]; k++ {
-					acc[a.Col[k]] += ri * a.Val[k]
-				}
-			}
-		}(w, lo, hi)
-	}
-	wg.Wait()
-	for i := range out {
-		out[i] = 0
-	}
-	for w := 0; w < workers; w++ {
-		acc := s.acc[w][:a.N]
-		for i, v := range acc {
-			out[i] += v
-		}
 	}
 }
 

@@ -86,6 +86,87 @@ func TestFromEdgesOutOfRange(t *testing.T) {
 	if _, err := FromEdges(l, 0); err == nil {
 		t.Error("zero dimension accepted")
 	}
+	// Row blocks: the start vertex must lie in the block's rows, and the
+	// row range must lie in [0, n].
+	inRange := edge.NewList(1)
+	inRange.Append(2, 1)
+	for _, tc := range []struct {
+		name      string
+		l         *edge.List
+		lo, hi, n int
+	}{
+		{"start above block", inRange, 0, 2, 4},
+		{"start below block", inRange, 3, 4, 4},
+		{"end vertex", l2, 0, 1, 3},
+		{"negative lo", inRange, -1, 3, 4},
+		{"lo above hi", inRange, 3, 2, 4},
+		{"hi above n", inRange, 2, 5, 4},
+		{"zero dimension", edge.NewList(0), 0, 0, 0},
+	} {
+		if _, err := FromEdgesRows(tc.l, tc.lo, tc.hi, tc.n); err == nil {
+			t.Errorf("%s: FromEdgesRows(lo=%d, hi=%d, n=%d) accepted", tc.name, tc.lo, tc.hi, tc.n)
+		}
+	}
+}
+
+func TestFromEdgesRowsStackToFromEdges(t *testing.T) {
+	// For every row partition, the stacked FromEdgesRows blocks equal the
+	// square build, and the per-block products r[lo:hi]·block summed in
+	// block order equal the square product.  r holds multiples of 1/64,
+	// so every partial sum is exact and the comparison can be bitwise.
+	const n = 300
+	l := randomList(11, 6000, n)
+	a, err := FromEdges(l, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	g := xrand.New(12)
+	r := make([]float64, n)
+	for i := range r {
+		r[i] = float64(g.Uint64n(8)) / 64 // zeros exercise VxM's skip
+	}
+	want := make([]float64, n)
+	a.VxM(want, r)
+	for _, p := range []int{1, 2, 3, 5, 8} {
+		stacked := &CSR{N: n, RowPtr: []int64{0}}
+		sum := make([]float64, n)
+		part := make([]float64, n)
+		for b := 0; b < p; b++ {
+			lo, hi := b*n/p, (b+1)*n/p
+			own := edge.NewList(0)
+			for i, u := range l.U {
+				if int(u) >= lo && int(u) < hi {
+					own.Append(u, l.V[i])
+				}
+			}
+			blk, err := FromEdgesRows(own, lo, hi, n)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := blk.Validate(); err != nil {
+				t.Fatalf("p=%d block %d: %v", p, b, err)
+			}
+			if blk.Rows() != hi-lo || blk.N != n {
+				t.Fatalf("p=%d block %d: %d×%d, want %d×%d", p, b, blk.Rows(), blk.N, hi-lo, n)
+			}
+			base := int64(len(stacked.Col))
+			for _, ptr := range blk.RowPtr[1:] {
+				stacked.RowPtr = append(stacked.RowPtr, base+ptr)
+			}
+			stacked.Col = append(stacked.Col, blk.Col...)
+			stacked.Val = append(stacked.Val, blk.Val...)
+			blk.VxM(part, r[lo:hi])
+			for j := range sum {
+				sum[j] += part[j]
+			}
+		}
+		assertSameMatrix(t, a, stacked)
+		for j := range want {
+			if sum[j] != want[j] {
+				t.Fatalf("p=%d: summed block VxM[%d] = %v, square %v", p, j, sum[j], want[j])
+			}
+		}
+	}
 }
 
 func TestFromSortedEdgesMatchesFromEdges(t *testing.T) {
@@ -325,40 +406,6 @@ func TestVxMAgainstDense(t *testing.T) {
 	}
 }
 
-func TestParallelProductsMatchSerial(t *testing.T) {
-	const n = 500
-	l := randomList(9, 8000, n)
-	a, _ := FromEdges(l, n)
-	g := xrand.New(10)
-	r := make([]float64, n)
-	for i := range r {
-		r[i] = g.Float64()
-	}
-	want := make([]float64, n)
-	a.VxM(want, r)
-	for _, workers := range []int{1, 2, 3, 8} {
-		got := make([]float64, n)
-		a.ParallelVxM(got, r, workers)
-		for j := range want {
-			if math.Abs(got[j]-want[j]) > 1e-9 {
-				t.Fatalf("ParallelVxM(workers=%d)[%d] = %v, want %v", workers, j, got[j], want[j])
-			}
-		}
-	}
-	at := a.Transpose()
-	wantG := make([]float64, n)
-	at.MxV(wantG, r)
-	for _, workers := range []int{1, 2, 5} {
-		got := make([]float64, n)
-		at.ParallelMxV(got, r, workers)
-		for j := range wantG {
-			if got[j] != wantG[j] {
-				t.Fatalf("ParallelMxV(workers=%d)[%d] = %v, want %v", workers, j, got[j], wantG[j])
-			}
-		}
-	}
-}
-
 func TestCloneIndependence(t *testing.T) {
 	a, _ := FromTriplets(2, []int{0}, []int{1}, []float64{1})
 	b := a.Clone()
@@ -369,15 +416,31 @@ func TestCloneIndependence(t *testing.T) {
 }
 
 func TestValidateCatchesCorruption(t *testing.T) {
-	a, _ := FromTriplets(3, []int{0, 0}, []int{1, 2}, []float64{1, 1})
-	a.Col[1] = a.Col[0] // duplicate column in row
-	if err := a.Validate(); err == nil {
-		t.Error("Validate missed non-increasing columns")
+	// Each case corrupts a valid 3×3 matrix; Validate must return an
+	// error, never panic (it checks blocks decoded from a socket).
+	for _, tc := range []struct {
+		name    string
+		corrupt func(a *CSR)
+	}{
+		{"non-increasing columns", func(a *CSR) { a.Col[1] = a.Col[0] }},
+		{"bad RowPtr tail", func(a *CSR) { a.RowPtr[3] = 99 }},
+		{"RowPtr overruns Col", func(a *CSR) { a.RowPtr[1] = 99 }},
+		{"negative row extent", func(a *CSR) { a.RowPtr[1], a.RowPtr[2] = 2, 1 }},
+		{"column out of range", func(a *CSR) { a.Col[1] = 3 }},
+		{"empty RowPtr", func(a *CSR) { a.RowPtr = nil }},
+		{"negative N", func(a *CSR) { a.N = -1 }},
+		{"short Val", func(a *CSR) { a.Val = a.Val[:1] }},
+	} {
+		a, _ := FromTriplets(3, []int{0, 0}, []int{1, 2}, []float64{1, 1})
+		tc.corrupt(a)
+		if err := a.Validate(); err == nil {
+			t.Errorf("%s: Validate accepted %+v", tc.name, a)
+		}
 	}
-	b, _ := FromTriplets(3, []int{0}, []int{1}, []float64{1})
-	b.RowPtr[3] = 99
-	if err := b.Validate(); err == nil {
-		t.Error("Validate missed bad RowPtr tail")
+	// A row block — fewer rows than columns — is valid.
+	blk := &CSR{N: 5, RowPtr: []int64{0, 1, 1}, Col: []uint32{4}, Val: []float64{1}}
+	if err := blk.Validate(); err != nil {
+		t.Errorf("2×5 row block rejected: %v", err)
 	}
 }
 

@@ -38,6 +38,9 @@ func New(n int, work func(worker int)) *Team {
 	return t
 }
 
+// Size returns the number of workers.
+func (t *Team) Size() int { return len(t.start) }
+
 // Run executes one round — signal every worker, wait for all — with zero
 // heap allocations.
 func (t *Team) Run() {

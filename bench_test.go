@@ -269,10 +269,10 @@ func BenchmarkAblationDanglingCorrection(b *testing.B) {
 	l := randomEdges(4, 16<<12, 1<<12)
 	a, _ := sparse.FromEdges(l, 1<<12)
 	pipeline.ApplyKernel2Filter(a)
-	for _, dangling := range []bool{false, true} {
-		b.Run(fmt.Sprintf("dangling=%v", dangling), func(b *testing.B) {
+	for _, policy := range []pagerank.DanglingPolicy{pagerank.DanglingIgnore, pagerank.DanglingUniform} {
+		b.Run(fmt.Sprintf("dangling=%v", policy == pagerank.DanglingUniform), func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, err := pagerank.Gather(a, pagerank.Options{Dangling: dangling}); err != nil {
+				if _, err := pagerank.Gather(a, pagerank.Options{Policy: policy}); err != nil {
 					b.Fatal(err)
 				}
 			}

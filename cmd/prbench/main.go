@@ -237,7 +237,7 @@ func main() {
 		PageRank: pagerank.Options{
 			Iterations: *iterations,
 			Damping:    *damping,
-			Dangling:   *dangling,
+			Policy:     danglingPolicy(*dangling),
 		},
 	}
 	if *dir != "" {
@@ -286,6 +286,14 @@ func parseIntList(s string) ([]int, error) {
 func fatal(err error) {
 	fmt.Fprintln(os.Stderr, "prbench:", err)
 	os.Exit(1)
+}
+
+// danglingPolicy maps the -dangling flag to kernel 3's dangling policy.
+func danglingPolicy(on bool) pagerank.DanglingPolicy {
+	if on {
+		return pagerank.DanglingUniform
+	}
+	return pagerank.DanglingIgnore
 }
 
 func parseKernels(s string) ([]core.Kernel, error) {
@@ -588,7 +596,7 @@ func runCacheSweep(ctx context.Context, scale, edgeFactor int, seed uint64, nfil
 		cfg := core.Config{
 			Scale: scale, EdgeFactor: edgeFactor, Seed: seed, NFiles: nfiles,
 			Variant: v, Workers: workers, KeepRank: true,
-			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling},
+			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Policy: danglingPolicy(dangling)},
 		}
 		run := func(what string) (*core.Result, float64, error) {
 			start := time.Now()
@@ -673,7 +681,7 @@ func runFormatSweep(ctx context.Context, svc *core.Service, scale, edgeFactor in
 		cfg := core.Config{
 			Scale: scale, EdgeFactor: edgeFactor, Seed: seed, NFiles: nfiles,
 			Variant: variant, Format: f, RunEdges: runEdges, KeepRank: true,
-			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling},
+			PageRank: pagerank.Options{Iterations: iterations, Damping: damping, Policy: danglingPolicy(dangling)},
 		}
 		res, err := svc.Run(ctx, cfg)
 		if err != nil {
@@ -848,7 +856,7 @@ func runDistributed(ctx context.Context, svc *core.Service, scale, edgeFactor in
 		return err
 	}
 	n := 1 << uint(scale)
-	opt := pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling, Seed: seed}
+	opt := pagerank.Options{Iterations: iterations, Damping: damping, Policy: danglingPolicy(dangling), Seed: seed}
 	modes := []dist.ExecMode{dist.ExecGoroutine, dist.ExecSocket}
 	if mode != "all" {
 		m, err := dist.ParseExecMode(mode)
@@ -980,7 +988,7 @@ func runProcSweep(ctx context.Context, svc *core.Service, scale, edgeFactor int,
 			if err != nil {
 				return err
 			}
-			opt := pagerank.Options{Iterations: iterations, Damping: damping, Dangling: dangling, Seed: seed}
+			opt := pagerank.Options{Iterations: iterations, Damping: damping, Policy: danglingPolicy(dangling), Seed: seed}
 			out, err := dist.Execute(ctx, dist.Spec{
 				Config: dist.Config{Workers: rw},
 				Op:     dist.OpRun, Edges: l, N: n, Procs: p, PageRank: opt,

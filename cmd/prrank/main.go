@@ -38,7 +38,10 @@ func main() {
 	cfg := core.Config{
 		Scale: *scale, EdgeFactor: *edgeFactor, FS: fsys, Variant: *variant,
 		Seed: *seed, KeepRank: *top > 0,
-		PageRank: pagerank.Options{Iterations: *iterations, Damping: *damping, Dangling: *dangling, Seed: *seed},
+		PageRank: pagerank.Options{Iterations: *iterations, Damping: *damping, Seed: *seed},
+	}
+	if *dangling {
+		cfg.PageRank.Policy = pagerank.DanglingUniform
 	}
 	res, err := core.RunOnce(context.Background(), cfg, core.K2Filter, core.K3PageRank)
 	if err != nil {

@@ -1,19 +1,26 @@
 // Checkpointrestart: the paper's Figure 2 lists create / stop / checkpoint
 // / restart among the administrative operations big-data systems must
-// support.  This example runs kernels 0-2, starts the 20-iteration
-// PageRank, stops it after 7 iterations, checkpoints the state to disk,
-// "restarts the system" (reloads everything from storage), resumes the
-// remaining 13 iterations, and proves the result is bit-identical to an
+// support, and its pipeline lets each kernel run on its own because
+// kernels communicate only through files.  This example runs the full
+// pipeline on disk with the distributed variant, checkpointing kernel 3
+// every 7 iterations, and kills a rank after iteration 7 of 20.  It then
+// "restarts the system": a fresh run of kernels 2 and 3 only rebuilds
+// the matrix from the kernel-1 files already on disk, resumes kernel 3
+// from the saved epoch, and proves the result is bit-identical to an
 // uninterrupted run.
 //
 //	go run ./examples/checkpointrestart
 package main
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"log"
 	"os"
 
+	"repro/internal/ckpt"
+	"repro/internal/dist"
 	"repro/internal/pagerank"
 	"repro/internal/pipeline"
 	"repro/internal/vfs"
@@ -29,80 +36,51 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	ctx := context.Background()
 
-	// Kernels 0-2 produce the matrix.
-	cfg := pipeline.Config{Scale: 12, Seed: 4, Variant: "csr", FS: fsys}
-	variant, err := pipeline.Lookup("csr")
+	const every, killAt, total = 7, 7, 20
+	base := pipeline.Config{Scale: 12, Seed: 4, Variant: "dist", FS: fsys, KeepRank: true,
+		PageRank: pagerank.Options{Seed: 4, Iterations: total}}
+
+	// Kernels 0-3 on disk; rank 1 dies after iteration 7, once epoch 7
+	// is committed.
+	killed := base
+	killed.Checkpoint = dist.CheckpointSpec{FS: fsys, Every: every}
+	killed.Fault = &dist.FaultPlan{KillRank: 1, AtIteration: killAt}
+	if _, err := pipeline.ExecuteContext(ctx, killed); !errors.Is(err, dist.ErrFaultInjected) {
+		log.Fatalf("killed run: err = %v, want an injected rank failure", err)
+	}
+	eps, err := ckpt.Epochs(fsys, "ckpt")
 	if err != nil {
 		log.Fatal(err)
 	}
-	run := &pipeline.Run{Cfg: mustDefaults(cfg), FS: fsys}
-	for _, step := range []func(*pipeline.Run) error{variant.Kernel0, variant.Kernel1, variant.Kernel2} {
-		if err := step(run); err != nil {
-			log.Fatal(err)
+	fmt.Printf("rank 1 killed after iteration %d of %d; committed epochs on disk: %v\n", killAt, total, eps)
+
+	// "Restart": kernel 2 rebuilds the matrix from the k1 files, kernel 3
+	// resumes from the newest complete epoch.
+	restart := base
+	restart.Checkpoint = dist.CheckpointSpec{FS: fsys, Every: every, Resume: true}
+	resumed, err := pipeline.ExecuteKernelsContext(ctx, restart, []pipeline.Kernel{pipeline.K2Filter, pipeline.K3PageRank})
+	if err != nil {
+		log.Fatal(err)
+	}
+	if cs := resumed.Checkpoint; cs == nil || !cs.Resumed || cs.ResumedFrom != killAt {
+		log.Fatalf("restart did not resume from epoch %d: %+v", killAt, cs)
+	}
+	fmt.Printf("restarted kernels 2-3: resumed from epoch %d, %d total iterations\n",
+		resumed.Checkpoint.ResumedFrom, resumed.RankIterations)
+
+	// Ground truth: an uninterrupted run in memory.
+	full := base
+	full.FS = nil
+	want, err := pipeline.ExecuteContext(ctx, full)
+	if err != nil {
+		log.Fatal(err)
+	}
+	for i := range want.Rank {
+		if want.Rank[i] != resumed.Rank[i] {
+			log.Fatalf("resumed run diverged at vertex %d: %v vs %v", i, resumed.Rank[i], want.Rank[i])
 		}
 	}
-	fmt.Printf("kernels 0-2 complete: %d nonzeros in the filtered matrix\n", run.Matrix.NNZ())
-
-	// Start kernel 3, stop after 7 of 20 iterations.
-	const stopAt, total = 7, 20
-	partial, err := pagerank.Gather(run.Matrix, pagerank.Options{Seed: 4, Iterations: stopAt})
-	if err != nil {
-		log.Fatal(err)
-	}
-	cp := &pipeline.Checkpoint{
-		Matrix:              run.Matrix,
-		Rank:                partial.Rank,
-		CompletedIterations: stopAt,
-		Damping:             pagerank.DefaultDamping,
-	}
-	if err := pipeline.Save(fsys, "checkpoints/run42", cp); err != nil {
-		log.Fatal(err)
-	}
-	sz, _ := fsys.Size("checkpoints/run42.matrix")
-	fmt.Printf("stopped after %d iterations; checkpoint written (%d-byte matrix file)\n", stopAt, sz)
-
-	// "Restart": load from storage and resume.
-	loaded, err := pipeline.Load(fsys, "checkpoints/run42")
-	if err != nil {
-		log.Fatal(err)
-	}
-	resumed, err := pipeline.Resume(loaded, total, pagerank.Options{Seed: 4})
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("resumed to %d total iterations\n", resumed.Iterations)
-
-	// Ground truth: uninterrupted run.
-	full, err := pagerank.Gather(run.Matrix, pagerank.Options{Seed: 4, Iterations: total})
-	if err != nil {
-		log.Fatal(err)
-	}
-	for i := range full.Rank {
-		if full.Rank[i] != resumed.Rank[i] {
-			log.Fatalf("resumed run diverged at vertex %d: %v vs %v", i, resumed.Rank[i], full.Rank[i])
-		}
-	}
-	fmt.Println("resumed result is bit-identical to the uninterrupted 20-iteration run.")
-}
-
-// mustDefaults applies the config defaults (validation already done by the
-// caller's construction).
-func mustDefaults(cfg pipeline.Config) pipeline.Config {
-	if err := cfg.Validate(); err != nil {
-		log.Fatal(err)
-	}
-	// Validate fills nothing; Run/ExecuteKernels normally default the
-	// config.  For direct variant driving we only need FS and the sizes,
-	// which are already set; Variant/NFiles defaults:
-	if cfg.NFiles == 0 {
-		cfg.NFiles = 1
-	}
-	if cfg.EdgeFactor == 0 {
-		cfg.EdgeFactor = 16
-	}
-	if cfg.Generator == "" {
-		cfg.Generator = pipeline.GenKronecker
-	}
-	return cfg
+	fmt.Printf("resumed result is bit-identical to the uninterrupted %d-iteration run (%d ranks).\n", total, len(want.Rank))
 }

@@ -63,7 +63,7 @@ func main() {
 	}
 	inDeg := a.InDegrees() // popularity before filtering
 	pipeline.ApplyKernel2Filter(a)
-	res, err := pagerank.Gather(a, pagerank.Options{Seed: 1, Iterations: 100, Dangling: true})
+	res, err := pagerank.Gather(a, pagerank.Options{Seed: 1, Iterations: 100, Policy: pagerank.DanglingUniform})
 	if err != nil {
 		log.Fatal(err)
 	}

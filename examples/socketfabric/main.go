@@ -56,7 +56,7 @@ func main() {
 		log.Fatal(err)
 	}
 	n := int(cfg.N())
-	opt := pagerank.Options{Seed: 42, Iterations: 12, Dangling: true}
+	opt := pagerank.Options{Seed: 42, Iterations: 12, Policy: pagerank.DanglingUniform}
 
 	// The reference: the same rank program on goroutine ranks, the
 	// default fabric (in-process).

@@ -50,7 +50,7 @@ func main() {
 	// Production setting: iterate to convergence with the dangling-node
 	// correction so rank mass is conserved.
 	conv, err := pagerank.Gather(a, pagerank.Options{
-		Seed: 3, Iterations: 500, Tolerance: 1e-12, Dangling: true,
+		Seed: 3, Iterations: 500, Tolerance: 1e-12, Policy: pagerank.DanglingUniform,
 	})
 	if err != nil {
 		log.Fatal(err)

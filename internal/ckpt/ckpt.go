@@ -1,5 +1,6 @@
-// Package ckpt defines the on-storage checkpoint format shared by the
-// serial pipeline and the distributed K3 runtime (DESIGN.md §10).
+// Package ckpt defines the on-storage checkpoint format of the
+// distributed K3 runtime (DESIGN.md §10), the repo's one checkpoint
+// format.
 //
 // A checkpoint is a sequence of *epochs*.  An epoch captures the global
 // rank vector after a fixed number of completed K3 iterations as p
@@ -26,6 +27,7 @@ import (
 	"hash/crc32"
 	"io"
 	"math"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -346,7 +348,10 @@ func loadEpoch(fs vfs.FS, prefix string, epoch int64) (*Loaded, error) {
 		return nil, fmt.Errorf("ckpt: epoch %d commit marker is inconsistent (kind=%d epoch=%d)", epoch, commit.Kind, commit.Epoch)
 	}
 	l := &Loaded{Epoch: epoch, N: commit.N, Procs: commit.Procs, Damping: commit.Damping}
-	l.Rank = make([]float64, l.N)
+	// The vector is assembled only after the chunks have tiled [0, N):
+	// the commit's N is a header value, and a torn epoch must not make
+	// the loader allocate for it.
+	var parts [][]float64
 	var covered int64
 	for r := int64(0); r < commit.Procs; r++ {
 		c, err := readRecord(fs, ChunkName(prefix, epoch, int(r)))
@@ -361,12 +366,13 @@ func loadEpoch(fs vfs.FS, prefix string, epoch int64) (*Loaded, error) {
 		if c.Lo != covered {
 			return nil, fmt.Errorf("ckpt: epoch %d rank %d covers [%d,%d), expected start %d", epoch, r, c.Lo, c.Hi, covered)
 		}
-		copy(l.Rank[c.Lo:c.Hi], c.Data)
+		parts = append(parts, c.Data)
 		covered = c.Hi
 	}
 	if covered != l.N {
 		return nil, fmt.Errorf("ckpt: epoch %d chunks cover [0,%d) of %d", epoch, covered, l.N)
 	}
+	l.Rank = slices.Concat(parts...)
 	return l, nil
 }
 

@@ -7,6 +7,7 @@ import (
 	"io"
 	"maps"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -112,6 +113,35 @@ func TestDecodeRejectsHugeCountWithoutAllocating(t *testing.T) {
 	b := buf.Bytes()[:headerSize+8]
 	if _, err := Decode(bytes.NewReader(b)); err == nil {
 		t.Fatal("truncated payload accepted")
+	}
+}
+
+// TestTornEpochDoesNotAllocateForHeaderN pins that a commit's N is not
+// trusted before the chunks cover it: a ~150-byte torn epoch claiming
+// N = 2^24 (a 128 MiB vector) is skipped without allocating for N.
+func TestTornEpochDoesNotAllocateForHeaderN(t *testing.T) {
+	fs := vfs.NewMem()
+	writeEpoch(t, fs, "ck", 1, 8, 1)
+	const n = 1 << 24
+	c := &Chunk{Kind: KindChunk, Epoch: 2, N: n, Procs: 1, Hi: 1, Damping: 0.85, Data: []float64{1}}
+	if err := WriteChunk(fs, "ck", c); err != nil {
+		t.Fatal(err)
+	}
+	if err := WriteCommit(fs, "ck", 2, n, 1, 0.85); err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	l, err := Latest(fs, "ck")
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if l.Epoch != 1 || l.Torn != 1 {
+		t.Fatalf("loaded epoch %d with %d torn, want epoch 1 skipping 1 torn", l.Epoch, l.Torn)
+	}
+	if alloc := after.TotalAlloc - before.TotalAlloc; alloc >= 1<<20 {
+		t.Fatalf("loading a torn epoch allocated %d bytes", alloc)
 	}
 }
 

@@ -129,7 +129,7 @@ func TestGoroutineIterationSteadyStateAllocFree(t *testing.T) {
 	run := func(iters int) {
 		_, err := Execute(context.Background(), Spec{
 			Config: Config{Workers: 2}, Op: OpRunMatrix, Matrix: b.Build.Matrix, Procs: 3,
-			PageRank: pagerank.Options{Iterations: iters, Seed: 1, Dangling: true},
+			PageRank: pagerank.Options{Iterations: iters, Seed: 1, Policy: pagerank.DanglingUniform},
 		})
 		if err != nil {
 			t.Fatal(err)

@@ -242,8 +242,9 @@ func TestCommStatsEqualPredictionExactly(t *testing.T) {
 	l, n := kron(t, 7, 3)
 	for _, p := range procCounts {
 		for _, iters := range []int{1, 5, 20} {
-			for _, dangling := range []bool{false, true} {
-				opt := pagerank.Options{Seed: 1, Iterations: iters, Dangling: dangling}
+			for _, policy := range []pagerank.DanglingPolicy{pagerank.DanglingIgnore, pagerank.DanglingUniform} {
+				dangling := policy == pagerank.DanglingUniform
+				opt := pagerank.Options{Seed: 1, Iterations: iters, Policy: policy}
 				res, err := runOp(dist.Config{}, l, n, p, opt)
 				if err != nil {
 					t.Fatalf("p=%d iters=%d dangling=%v: %v", p, iters, dangling, err)
@@ -292,7 +293,7 @@ func TestCommPredictionZeroDefaultIterations(t *testing.T) {
 func TestRunMatrixMatchesSerialEngines(t *testing.T) {
 	l, n := kron(t, 7, 6)
 	a, _ := serialKernel2(t, l, n)
-	opt := pagerank.Options{Seed: 2, Dangling: true}
+	opt := pagerank.Options{Seed: 2, Policy: pagerank.DanglingUniform}
 	want, err := pagerank.Scatter(a, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -44,8 +44,9 @@ func hybridFabrics(p, w int) []dist.ExecMode {
 
 func TestHybridRunBitForBitAcrossWorkersAndModes(t *testing.T) {
 	l, n := kron(t, 8, 9)
-	for _, dangling := range []bool{false, true} {
-		opt := pagerank.Options{Seed: 4, Iterations: 6, Dangling: dangling}
+	for _, policy := range []pagerank.DanglingPolicy{pagerank.DanglingIgnore, pagerank.DanglingUniform} {
+		dangling := policy == pagerank.DanglingUniform
+		opt := pagerank.Options{Seed: 4, Iterations: 6, Policy: policy}
 		for _, p := range procCounts {
 			base, err := runOp(dist.Config{}, l, n, p, opt) // serial ranks: the contract baseline
 			if err != nil {
@@ -83,7 +84,7 @@ func TestHybridRunMatrixBitForBitAcrossWorkers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
+	opt := pagerank.Options{Seed: 2, Policy: pagerank.DanglingUniform, Iterations: 5}
 	for _, p := range procCounts {
 		base, err := runMatrixOp(dist.Config{}, b.Matrix, p, opt)
 		if err != nil {
@@ -150,7 +151,7 @@ func TestHybridPredictedCommBytesUnchanged(t *testing.T) {
 	l, n := kron(t, 7, 3)
 	for _, p := range procCounts {
 		for _, w := range workerCounts {
-			opt := pagerank.Options{Seed: 1, Iterations: 4, Dangling: true}
+			opt := pagerank.Options{Seed: 1, Iterations: 4, Policy: pagerank.DanglingUniform}
 			res, err := runOp(dist.Config{Workers: w}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d w=%d: %v", p, w, err)

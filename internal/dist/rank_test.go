@@ -66,8 +66,9 @@ func TestGoroutineRunEqualsSimBitForBit(t *testing.T) {
 	l, n := kron(t, 8, 9)
 	a, _ := serialKernel2(t, l, n)
 	for _, p := range procCounts {
-		for _, dangling := range []bool{false, true} {
-			opt := pagerank.Options{Seed: 4, Iterations: 7, Dangling: dangling}
+		for _, policy := range []pagerank.DanglingPolicy{pagerank.DanglingIgnore, pagerank.DanglingUniform} {
+			dangling := policy == pagerank.DanglingUniform
+			opt := pagerank.Options{Seed: 4, Iterations: 7, Policy: policy}
 			want, err := pagerank.Scatter(a, opt)
 			if err != nil {
 				t.Fatal(err)
@@ -112,8 +113,9 @@ func TestGoroutineRunEqualsSimBitForBit(t *testing.T) {
 func TestGoroutineCommEqualsPredictionExactly(t *testing.T) {
 	l, n := kron(t, 7, 3)
 	for _, p := range procCounts {
-		for _, dangling := range []bool{false, true} {
-			opt := pagerank.Options{Seed: 1, Iterations: 5, Dangling: dangling}
+		for _, policy := range []pagerank.DanglingPolicy{pagerank.DanglingIgnore, pagerank.DanglingUniform} {
+			dangling := policy == pagerank.DanglingUniform
+			opt := pagerank.Options{Seed: 1, Iterations: 5, Policy: policy}
 			res, err := runOp(dist.Config{}, l, n, p, opt)
 			if err != nil {
 				t.Fatalf("p=%d: %v", p, err)
@@ -134,7 +136,7 @@ func TestGoroutineRunDeterminism(t *testing.T) {
 	// noise must not be observable.
 	l, n := kron(t, 7, 11)
 	const p = 5
-	opt := pagerank.Options{Seed: 3, Iterations: 6, Dangling: true}
+	opt := pagerank.Options{Seed: 3, Iterations: 6, Policy: pagerank.DanglingUniform}
 	first, err := runOp(dist.Config{}, l, n, p, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -191,7 +193,7 @@ func TestGoroutineRunMatrixEqualsSim(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	opt := pagerank.Options{Seed: 2, Dangling: true, Iterations: 5}
+	opt := pagerank.Options{Seed: 2, Policy: pagerank.DanglingUniform, Iterations: 5}
 	want, err := pagerank.Scatter(b.Matrix, opt)
 	if err != nil {
 		t.Fatal(err)

@@ -61,7 +61,7 @@ func checkWire(t *testing.T, what string, wire *dist.WireStats, st dist.CommStat
 // measured socket bytes equal the metered bytes and the closed form.
 func TestSocketRunMatchesOtherModes(t *testing.T) {
 	l, n := executeGraph(t, 6)
-	opt := pagerank.Options{Seed: 3, Iterations: 8, Dangling: true}
+	opt := pagerank.Options{Seed: 3, Iterations: 8, Policy: pagerank.DanglingUniform}
 	for _, p := range procCounts {
 		ref, err := runOp(dist.Config{}, l, n, p, opt)
 		if err != nil {

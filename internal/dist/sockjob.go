@@ -113,7 +113,6 @@ type wireOpt struct {
 	Damping       float64
 	Iterations    int
 	Seed          uint64
-	Dangling      bool
 	Policy        int
 	Teleport      []float64
 	Tolerance     float64
@@ -124,7 +123,7 @@ type wireOpt struct {
 func optToWire(o pagerank.Options) wireOpt {
 	return wireOpt{
 		Damping: o.Damping, Iterations: o.Iterations, Seed: o.Seed,
-		Dangling: o.Dangling, Policy: int(o.Policy), Teleport: o.Teleport,
+		Policy: int(o.Policy), Teleport: o.Teleport,
 		Tolerance: o.Tolerance, EngineWorkers: o.Workers, InitialRank: o.InitialRank,
 	}
 }
@@ -132,7 +131,7 @@ func optToWire(o pagerank.Options) wireOpt {
 func (w wireOpt) options() pagerank.Options {
 	return pagerank.Options{
 		Damping: w.Damping, Iterations: w.Iterations, Seed: w.Seed,
-		Dangling: w.Dangling, Policy: pagerank.DanglingPolicy(w.Policy),
+		Policy:   pagerank.DanglingPolicy(w.Policy),
 		Teleport: w.Teleport, Tolerance: w.Tolerance, Workers: w.EngineWorkers,
 		InitialRank: w.InitialRank,
 	}

@@ -433,14 +433,16 @@ func WriteStriped(fs vfs.FS, prefix string, codec Codec, nfiles int, l *edge.Lis
 	for i := 0; i < nfiles; i++ {
 		lo := i * m / nfiles
 		hi := (i + 1) * m / nfiles
-		if err := writeOneStripe(fs, StripeName(prefix, codec, i), codec, l, lo, hi); err != nil {
+		if err := WriteStripe(fs, StripeName(prefix, codec, i), codec, l, lo, hi); err != nil {
 			return err
 		}
 	}
 	return nil
 }
 
-func writeOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List, lo, hi int) error {
+// WriteStripe writes edges [lo, hi) of l to the file name in codec's
+// format.
+func WriteStripe(fs vfs.FS, name string, codec Codec, l *edge.List, lo, hi int) error {
 	w, err := fs.Create(name)
 	if err != nil {
 		return err
@@ -501,14 +503,16 @@ func ReadStriped(fs vfs.FS, prefix string, codec Codec) (*edge.List, error) {
 	}
 	l := edge.NewList(0)
 	for _, name := range names {
-		if err := readOneStripe(fs, name, codec, l); err != nil {
+		if err := ReadStripe(fs, name, codec, l); err != nil {
 			return nil, err
 		}
 	}
 	return l, nil
 }
 
-func readOneStripe(fs vfs.FS, name string, codec Codec, l *edge.List) error {
+// ReadStripe appends the edges of the stripe file name, in codec's
+// format, to l.
+func ReadStripe(fs vfs.FS, name string, codec Codec, l *edge.List) error {
 	r, err := fs.Open(name)
 	if err != nil {
 		return err

@@ -40,7 +40,7 @@ func ConvergenceStudy(a *sparse.CSR, dampings []float64, tolerance float64, maxI
 			Iterations: maxIterations,
 			Tolerance:  tolerance,
 			Seed:       seed,
-			Dangling:   true, // mass conservation makes tolerances comparable across c
+			Policy:     DanglingUniform, // mass conservation makes tolerances comparable across c
 		})
 		if err != nil {
 			return nil, fmt.Errorf("pagerank: damping %v: %w", c, err)

@@ -63,7 +63,7 @@ func NewEngine(n int, step func(out, r []float64), dangleMass func(r []float64) 
 		dangleMass: dangleMass,
 		c:          opt.damping(),
 		iters:      opt.iterations(),
-		policy:     opt.policy(),
+		policy:     opt.Policy,
 		teleport:   opt.Teleport,
 		tol:        opt.Tolerance,
 		uniform:    1 / float64(n),

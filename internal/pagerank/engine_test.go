@@ -33,7 +33,7 @@ func TestEngineRunEqualsScatter(t *testing.T) {
 	a := engineTestMatrix(t, 1, 1<<12, 1<<9)
 	for _, opt := range []Options{
 		{Seed: 3},
-		{Seed: 3, Dangling: true, Iterations: 7},
+		{Seed: 3, Policy: DanglingUniform, Iterations: 7},
 		{Seed: 3, Tolerance: 1e-8, Iterations: 500},
 	} {
 		want, err := Scatter(a, opt)
@@ -85,7 +85,7 @@ func TestParallelEqualsGatherBitForBit(t *testing.T) {
 	// worker with the serial per-row loop, so the parallel engine must
 	// match Gather exactly, for every worker count.
 	a := engineTestMatrix(t, 3, 1<<13, 1<<10)
-	opt := Options{Seed: 7, Iterations: 8, Dangling: true}
+	opt := Options{Seed: 7, Iterations: 8, Policy: DanglingUniform}
 	want, err := Gather(a, opt)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +106,7 @@ func TestParallelEqualsGatherBitForBit(t *testing.T) {
 
 func TestEngineIterateZeroAllocs(t *testing.T) {
 	a := engineTestMatrix(t, 4, 1<<13, 1<<10)
-	serial, err := NewScatterEngine(a, Options{Seed: 1, Dangling: true})
+	serial, err := NewScatterEngine(a, Options{Seed: 1, Policy: DanglingUniform})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +127,7 @@ func TestEngineIterateZeroAllocs(t *testing.T) {
 
 func TestParallelEngineIterateZeroAllocs(t *testing.T) {
 	a := engineTestMatrix(t, 5, 1<<13, 1<<10)
-	pe, err := NewParallelEngine(a, Options{Seed: 1, Workers: 4, Dangling: true})
+	pe, err := NewParallelEngine(a, Options{Seed: 1, Workers: 4, Policy: DanglingUniform})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -62,12 +62,8 @@ type Options struct {
 	Iterations int
 	// Seed selects the random initial vector.
 	Seed uint64
-	// Dangling enables the uniform dangling-node correction; it is the
-	// boolean shorthand for Policy == DanglingUniform.  Off in the
-	// benchmark definition.
-	Dangling bool
-	// Policy selects the dangling-mass treatment explicitly; it overrides
-	// Dangling when non-zero.
+	// Policy selects the dangling-mass treatment; the benchmark
+	// definition is DanglingIgnore, the zero value.
 	Policy DanglingPolicy
 	// Teleport is the personalization vector v: the teleport term becomes
 	// (1-c)·sum(r)·v[j] instead of (1-c)·sum(r)/N.  It must have length N,
@@ -92,17 +88,6 @@ type Options struct {
 	// the iterating goroutine; it must be fast and must not call back
 	// into the engine.  A nil Progress costs nothing.
 	Progress func(iteration int)
-}
-
-// policy resolves the effective dangling policy.
-func (o Options) policy() DanglingPolicy {
-	if o.Policy != DanglingIgnore {
-		return o.Policy
-	}
-	if o.Dangling {
-		return DanglingUniform
-	}
-	return DanglingIgnore
 }
 
 func (o Options) damping() float64 {

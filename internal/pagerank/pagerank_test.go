@@ -172,7 +172,7 @@ func TestDanglingPreservesMass(t *testing.T) {
 	// With the dangling correction the iteration is fully stochastic:
 	// sum(r) must stay 1 every iteration.
 	a := filteredMatrix(t, 5, 64, 500)
-	res, err := Scatter(a, Options{Dangling: true, Iterations: 50, Seed: 3})
+	res, err := Scatter(a, Options{Policy: DanglingUniform, Iterations: 50, Seed: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +244,7 @@ func TestHubReceivesTopRank(t *testing.T) {
 		t.Fatal(err)
 	}
 	a.ScaleRows(a.OutDegrees())
-	res, err := Scatter(a, Options{Iterations: 50, Seed: 1, Dangling: true})
+	res, err := Scatter(a, Options{Iterations: 50, Seed: 1, Policy: DanglingUniform})
 	if err != nil {
 		t.Fatal(err)
 	}

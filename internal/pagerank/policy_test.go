@@ -16,23 +16,6 @@ func TestPolicyString(t *testing.T) {
 	}
 }
 
-func TestDanglingBoolMapsToUniform(t *testing.T) {
-	a := filteredMatrix(t, 21, 64, 600)
-	viaBool, err := Scatter(a, Options{Seed: 1, Dangling: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	viaPolicy, err := Scatter(a, Options{Seed: 1, Policy: DanglingUniform})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range viaBool.Rank {
-		if viaBool.Rank[i] != viaPolicy.Rank[i] {
-			t.Fatal("Dangling bool and DanglingUniform policy differ")
-		}
-	}
-}
-
 func TestTeleportValidation(t *testing.T) {
 	a := filteredMatrix(t, 22, 16, 150)
 	bad := make([]float64, 16)

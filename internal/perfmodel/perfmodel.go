@@ -86,7 +86,7 @@ type Workload struct {
 	// also empty); set it explicitly to override the codec estimate.
 	BytesPerEdgeText float64
 	// RunEdges, when positive, selects the out-of-core kernel-1 regime
-	// (dist.SortExternal): each node's run buffer holds RunEdges edges and
+	// (dist.OpSortExternal): each node's run buffer holds RunEdges edges and
 	// the sort round-trips its chunk through storage as sorted binary
 	// runs.  Zero models the in-memory kernel 1.
 	RunEdges int
@@ -283,7 +283,7 @@ func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 	return prediction(iters*m, times)
 }
 
-// ParallelKernel1 models the distributed sample sort of dist.Sort on p
+// ParallelKernel1 models the distributed sample sort of dist.OpSort on p
 // nodes, mirroring its metered communication schedule phase for phase:
 // per-node storage and radix work divide by p; the all-to-all exchange
 // routes each node's M/p edges, of which an expected (p-1)/p fraction are
@@ -291,11 +291,11 @@ func ParallelKernel3(h Hardware, w Workload, p int) Prediction {
 // NetBandwidth; and the splitter exchange — a gather of
 // dist.SamplesPerRank keys per node followed by a broadcast of p-1
 // splitters — adds its 8-bytes-per-key volume plus two log2(p)-depth
-// collective latencies.  dist.Sort's SortResult.Comm measures the same
+// collective latencies.  dist.OpSort's SortResult.Comm measures the same
 // quantities, so model and measurement share their terms.
 //
 // A positive Workload.RunEdges switches the model to the out-of-core sort
-// (dist.SortExternal): run formation spills each node's M/p-edge chunk to
+// (dist.OpSortExternal): run formation spills each node's M/p-edge chunk to
 // storage as SpillBytesPerEdge-byte records (16-byte fixed-width binary
 // by default) and the pre-exchange partition streams it back, adding one
 // storage write and one storage read of the chunk —
@@ -335,8 +335,8 @@ func ParallelKernel1(h Hardware, w Workload, p int) Prediction {
 // ElapsedComparison relates the measured per-rank wall clock of a
 // goroutine-mode distributed run (dist.Result.RankSeconds) to the
 // parallel kernel-3 hardware model.  The model prices the iteration
-// phase, so the comparison is sharpest for dist.RunMatrixMode results
-// (pure kernel 3); for full dist.RunMode results the kernel-2 build adds
+// phase, so the comparison is sharpest for dist.OpRunMatrix results
+// (pure kernel 3); for full dist.OpRun results the kernel-2 build adds
 // a small constant the 20-iteration benchmark amortizes away.
 type ElapsedComparison struct {
 	// Procs is the rank count the comparison was taken at.

@@ -10,232 +10,83 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/ckpt"
 	"repro/internal/dist"
 	"repro/internal/pagerank"
-	"repro/internal/sparse"
 	"repro/internal/vfs"
 	"repro/internal/xrand"
 )
 
-// k2Matrix builds a filtered matrix through the csr variant for the tests.
-func k2Matrix(t *testing.T, cfg Config) *sparse.CSR {
+// The restart tests kill a checkpointed dist-variant pipeline in kernel
+// 3, then restart kernels 2 and 3 only: kernel 2 rebuilds the matrix
+// from the k1 files the killed run left on storage, kernel 3 resumes
+// from the newest complete epoch, and the final ranks must equal the
+// uninterrupted run's bit for bit.
+
+// restartBase is the pipeline the restart tests kill and restart.
+func restartBase(fs vfs.FS) Config {
+	return Config{Scale: 7, EdgeFactor: 8, Seed: 9, Variant: "dist", FS: fs, KeepRank: true,
+		PageRank: pagerank.Options{Seed: 9, Iterations: 10}}
+}
+
+// uninterruptedRank is restartBase's final rank vector, run in memory
+// without checkpointing.
+func uninterruptedRank(t *testing.T) []float64 {
 	t.Helper()
-	cfg = cfg.withDefaults()
-	v, err := Lookup("csr")
+	res, err := ExecuteContext(context.Background(), restartBase(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := &Run{Cfg: cfg, FS: cfg.FS}
-	for _, step := range []func(*Run) error{v.Kernel0, v.Kernel1, v.Kernel2} {
-		if err := step(run); err != nil {
-			t.Fatal(err)
-		}
-	}
-	return run.Matrix
+	return res.Rank
 }
 
-func TestCheckpointRoundTrip(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 7, EdgeFactor: 8, Seed: 6})
-	partial, err := pagerank.Gather(a, pagerank.Options{Seed: 6, Iterations: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: partial.Rank, CompletedIterations: 8, Damping: 0.85}
-	if err := Save(fs, "ck/run1", cp); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(fs, "ck/run1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if loaded.CompletedIterations != 8 || loaded.Damping != 0.85 {
-		t.Errorf("metadata: %+v", loaded)
-	}
-	if loaded.Matrix.NNZ() != a.NNZ() {
-		t.Error("matrix changed")
-	}
-	for i := range partial.Rank {
-		if loaded.Rank[i] != partial.Rank[i] {
-			t.Fatal("rank vector changed")
-		}
-	}
-}
-
-func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 7, EdgeFactor: 8, Seed: 9})
-	// Uninterrupted 20 iterations.
-	full, err := pagerank.Gather(a, pagerank.Options{Seed: 9, Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// 8 iterations, checkpoint through storage, resume to 20.
-	partial, err := pagerank.Gather(a, pagerank.Options{Seed: 9, Iterations: 8})
-	if err != nil {
-		t.Fatal(err)
-	}
-	fs := vfs.NewMem()
-	if err := Save(fs, "ck", &Checkpoint{Matrix: a, Rank: partial.Rank, CompletedIterations: 8, Damping: 0.85}); err != nil {
-		t.Fatal(err)
-	}
-	loaded, err := Load(fs, "ck")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resumed, err := Resume(loaded, 20, pagerank.Options{Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resumed.Iterations != 20 {
-		t.Errorf("resumed total iterations %d", resumed.Iterations)
-	}
-	for i := range full.Rank {
-		if full.Rank[i] != resumed.Rank[i] {
-			t.Fatalf("resume diverges at %d: %v vs %v", i, resumed.Rank[i], full.Rank[i])
-		}
-	}
-}
-
-func TestCheckpointResumeAlreadyComplete(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 1})
-	r := pagerank.InitVector(a.N, 1)
-	cp := &Checkpoint{Matrix: a, Rank: r, CompletedIterations: 20, Damping: 0.85}
-	res, err := Resume(cp, 20, pagerank.Options{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Iterations != 20 || &res.Rank[0] != &r[0] {
-		t.Error("already-complete resume should return the checkpoint state")
-	}
-}
-
-func TestCheckpointResumeDampingMismatch(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 2})
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 5, Damping: 0.85}
-	if _, err := Resume(cp, 20, pagerank.Options{Damping: 0.9}); err == nil {
-		t.Error("damping mismatch accepted")
-	}
-}
-
-func TestCheckpointSaveRejectsMalformed(t *testing.T) {
-	fs := vfs.NewMem()
-	if err := Save(fs, "bad", &Checkpoint{}); err == nil {
-		t.Error("nil matrix accepted")
-	}
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 3})
-	if err := Save(fs, "bad", &Checkpoint{Matrix: a, Rank: []float64{1}}); err == nil {
-		t.Error("length mismatch accepted")
-	}
-}
-
-func TestCheckpointLoadDetectsCorruption(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 4})
-	fs := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 3, Damping: 0.85}
-	if err := Save(fs, "c", cp); err != nil {
-		t.Fatal(err)
-	}
-	// Corrupt the state file.
-	r, _ := fs.Open("c.state")
-	data := make([]byte, 0)
-	buf := make([]byte, 4096)
-	for {
-		n, err := r.Read(buf)
-		data = append(data, buf[:n]...)
-		if err != nil {
-			break
-		}
-	}
-	r.Close()
-	data[len(data)/2] ^= 0xFF
-	w, _ := fs.Create("c.state")
-	w.Write(data)
-	w.Close()
-	if _, err := Load(fs, "c"); err == nil {
-		t.Error("corrupted state accepted")
-	}
-	// Missing files.
-	if _, err := Load(fs, "absent"); err == nil {
-		t.Error("missing checkpoint accepted")
-	}
-}
-
-func TestCheckpointResumeFromRandomMidpoints(t *testing.T) {
-	// Property: for any split k, run(k) + resume(20-k) == run(20).
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 8, Seed: 12})
-	full, err := pagerank.Gather(a, pagerank.Options{Seed: 12, Iterations: 20})
-	if err != nil {
-		t.Fatal(err)
-	}
-	g := xrand.New(5)
-	for trial := 0; trial < 5; trial++ {
-		k := 1 + g.Intn(19)
-		partial, err := pagerank.Gather(a, pagerank.Options{Seed: 12, Iterations: k})
-		if err != nil {
-			t.Fatal(err)
-		}
-		cp := &Checkpoint{Matrix: a, Rank: partial.Rank, CompletedIterations: k, Damping: 0.85}
-		resumed, err := Resume(cp, 20, pagerank.Options{Seed: 12})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range full.Rank {
-			if math.Abs(full.Rank[i]-resumed.Rank[i]) > 1e-15 {
-				t.Fatalf("split at %d diverges at component %d", k, i)
-			}
-		}
-	}
-}
-
-// TestCheckpointLoadRejectsTruncation cuts the state file at every
-// region boundary and inside each region: Load must fail with an error
-// naming the truncated section, never a bare unexpected-EOF and never a
-// zero-filled vector silently accepted.
-func TestCheckpointLoadRejectsTruncation(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 4})
-	fs := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 3, Damping: 0.85}
-	if err := Save(fs, "c", cp); err != nil {
-		t.Fatal(err)
-	}
-	full := readAll(t, fs, "c.state")
-	const header = 4 + 8 + 8 + 8
-	cuts := map[string]int{
-		"empty":            0,
-		"mid-magic":        2,
-		"mid-header":       header - 3,
-		"header-only":      header,
-		"mid-rank-vector":  header + len(cp.Rank)*4,
-		"missing-checksum": len(full) - 4,
-		"mid-checksum":     len(full) - 2,
-	}
-	for _, name := range slices.Sorted(maps.Keys(cuts)) {
-		cut := cuts[name]
-		t.Run(name, func(t *testing.T) {
-			w, _ := fs.Create("c.state")
-			w.Write(full[:cut])
-			w.Close()
-			_, err := Load(fs, "c")
-			if err == nil {
-				t.Fatal("truncated state accepted")
-			}
-			if !strings.Contains(err.Error(), "truncated") && !strings.Contains(err.Error(), "magic") {
-				t.Fatalf("undiagnostic error for cut at %d: %v", cut, err)
-			}
-		})
-	}
-	// Trailing garbage is torn in the other direction; reject it too.
-	w, _ := fs.Create("c.state")
-	w.Write(append(append([]byte{}, full...), 0))
-	w.Close()
-	if _, err := Load(fs, "c"); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Fatalf("trailing garbage: %v", err)
-	}
-}
-
-func readAll(t *testing.T, fs vfs.FS, name string) []byte {
+// killRun runs restartBase on fs with an epoch every `every` iterations
+// and kills rank 1 after iteration killAt.
+func killRun(t *testing.T, fs vfs.FS, every, killAt int) {
 	t.Helper()
-	r, err := fs.Open(name)
+	cfg := restartBase(fs)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: every}
+	cfg.Fault = &dist.FaultPlan{KillRank: 1, AtIteration: killAt}
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, dist.ErrFaultInjected) {
+		t.Fatalf("killed run: err = %v, want ErrFaultInjected", err)
+	}
+}
+
+// restartK2K3 runs kernels 2 and 3 only of cfg, resuming kernel 3 from
+// the newest complete epoch on cfg.FS.
+func restartK2K3(cfg Config, every int) (*Result, error) {
+	cfg.Checkpoint = dist.CheckpointSpec{FS: cfg.FS, Every: every, Resume: true}
+	return ExecuteKernelsContext(context.Background(), cfg, []Kernel{K2Filter, K3PageRank})
+}
+
+// checkRestart requires a restart that resumed from epoch `from`
+// (0: a fresh start), skipped `torn` torn epochs and landed on want.
+func checkRestart(t *testing.T, res *Result, from int64, torn int, want []float64) {
+	t.Helper()
+	cs := res.Checkpoint
+	if cs == nil || cs.Resumed != (from > 0) || cs.ResumedFrom != from || cs.TornSkipped != torn {
+		t.Fatalf("restart record %+v, want resume from %d skipping %d torn", cs, from, torn)
+	}
+	if res.RankIterations != 10 {
+		t.Fatalf("restart reports %d iterations, want 10", res.RankIterations)
+	}
+	if len(res.Kernels) != 2 || res.Kernels[0].Kernel != K2Filter || res.Kernels[1].Kernel != K3PageRank {
+		t.Fatalf("restart ran %v, want kernels 2 and 3 only", res.Kernels)
+	}
+	if len(res.Rank) != len(want) {
+		t.Fatalf("restart rank length %d, want %d", len(res.Rank), len(want))
+	}
+	for i := range want {
+		if math.Float64bits(res.Rank[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("restart diverges at component %d: %v vs %v", i, res.Rank[i], want[i])
+		}
+	}
+}
+
+// chunkBytes reads one epoch chunk file.
+func chunkBytes(t *testing.T, fs vfs.FS, epoch int64, rank int) []byte {
+	t.Helper()
+	r, err := fs.Open(ckpt.ChunkName("ckpt", epoch, rank))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,45 +98,220 @@ func readAll(t *testing.T, fs vfs.FS, name string) []byte {
 	return b
 }
 
-// TestCheckpointSaveAtomic pins the two-phase save: no temp files
-// survive a successful Save, and a Save that dies mid-write — injected
-// storage failure — leaves the previous checkpoint fully loadable.
-func TestCheckpointSaveAtomic(t *testing.T) {
-	a := k2Matrix(t, Config{Scale: 6, EdgeFactor: 4, Seed: 4})
-	mem := vfs.NewMem()
-	cp := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 1), CompletedIterations: 3, Damping: 0.85}
-	if err := Save(mem, "c", cp); err != nil {
+// putChunk overwrites one epoch chunk file with b.
+func putChunk(t *testing.T, fs vfs.FS, epoch int64, rank int, b []byte) {
+	t.Helper()
+	w, err := fs.Create(ckpt.ChunkName("ckpt", epoch, rank))
+	if err != nil {
 		t.Fatal(err)
 	}
-	names, err := mem.List()
+	if _, err := w.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestCheckpointRoundTrip pins what an epoch stores: the epoch a
+// pipeline commits after 5 of 10 iterations is bit for bit the rank
+// vector of an uninterrupted 5-iteration run, and the final epoch is the
+// run's own result, under the run's damping.
+func TestCheckpointRoundTrip(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := restartBase(fs)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: 5}
+	res, err := ExecuteContext(context.Background(), cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := restartBase(nil)
+	half.PageRank.Iterations = 5
+	halfRes, err := ExecuteContext(context.Background(), half)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, e := range []struct {
+		epoch int64
+		want  []float64
+	}{{5, halfRes.Rank}, {10, res.Rank}} {
+		epoch, want := e.epoch, e.want
+		l, err := ckpt.Load(fs, "ckpt", epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if l.N != int64(len(want)) || l.Damping != pagerank.DefaultDamping {
+			t.Fatalf("epoch %d: n %d damping %v", epoch, l.N, l.Damping)
+		}
+		for i := range want {
+			if math.Float64bits(l.Rank[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("epoch %d diverges at component %d", epoch, i)
+			}
+		}
+	}
+}
+
+// TestCheckpointResumeMatchesUninterrupted restarts from a directory on
+// disk: after rank 1 dies at iteration 7 (epochs 3 and 6 committed),
+// kernels 2 and 3 alone rebuild the matrix from the k1 files and resume
+// from epoch 6, bit for bit onto the uninterrupted ranks.
+func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
+	fs, err := vfs.NewDir(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	killRun(t, fs, 3, 7)
+	res, err := restartK2K3(restartBase(fs), 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRestart(t, res, 6, 0, uninterruptedRank(t))
+}
+
+// TestCheckpointResumeFromRandomMidpoints is the property behind the
+// restart: for any epoch length and kill point, the restarted kernels
+// 2-3 resume from the last epoch at or before the kill (a fresh start
+// when there is none) and land on the uninterrupted ranks.
+func TestCheckpointResumeFromRandomMidpoints(t *testing.T) {
+	want := uninterruptedRank(t)
+	g := xrand.New(5)
+	for trial := 0; trial < 5; trial++ {
+		every, killAt := 1+g.Intn(4), 1+g.Intn(10)
+		fs := vfs.NewMem()
+		killRun(t, fs, every, killAt)
+		res, err := restartK2K3(restartBase(fs), every)
+		if err != nil {
+			t.Fatalf("every %d, kill at %d: %v", every, killAt, err)
+		}
+		checkRestart(t, res, int64(killAt/every*every), 0, want)
+	}
+}
+
+// TestCheckpointResumeAlreadyComplete restarts a run whose final epoch
+// already covers every iteration: kernel 3 returns the stored vector
+// and writes no epoch of its own.
+func TestCheckpointResumeAlreadyComplete(t *testing.T) {
+	fs := vfs.NewMem()
+	cfg := restartBase(fs)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: fs, Every: 5}
+	if _, err := ExecuteContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	res, err := restartK2K3(restartBase(fs), 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkRestart(t, res, 10, 0, uninterruptedRank(t))
+	if res.Checkpoint.EpochsWritten != 0 {
+		t.Fatalf("covered restart wrote %d epochs", res.Checkpoint.EpochsWritten)
+	}
+}
+
+// TestCheckpointResumeDampingMismatch pins that an epoch is resumed only
+// under the exact damping that produced it.
+func TestCheckpointResumeDampingMismatch(t *testing.T) {
+	fs := vfs.NewMem()
+	killRun(t, fs, 3, 7)
+	cfg := restartBase(fs)
+	cfg.PageRank.Damping = 0.9
+	if _, err := restartK2K3(cfg, 3); err == nil || !strings.Contains(err.Error(), "damping") {
+		t.Fatalf("damping mismatch: err = %v", err)
+	}
+}
+
+// TestCheckpointLoadDetectsCorruption flips a byte in the newest epoch:
+// the restart skips it as torn and resumes from the epoch before.  With
+// every epoch corrupted it starts fresh; it never loads a damaged one.
+func TestCheckpointLoadDetectsCorruption(t *testing.T) {
+	want := uninterruptedRank(t)
+	fs := vfs.NewMem()
+	killRun(t, fs, 3, 7)
+	corrupt := func(epoch int64) *Result {
+		b := chunkBytes(t, fs, epoch, 1)
+		b[len(b)/2] ^= 0xFF
+		putChunk(t, fs, epoch, 1, b)
+		// Epoch length 100: the restart commits no epoch that would
+		// replace the damaged one.
+		res, err := restartK2K3(restartBase(fs), 100)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	checkRestart(t, corrupt(6), 3, 1, want)
+	// Without a complete epoch the restart is a fresh start, which
+	// reports no torn count.
+	checkRestart(t, corrupt(3), 0, 0, want)
+}
+
+// TestCheckpointLoadRejectsTruncation cuts the newest epoch's chunk at
+// every record region and inside each: the restart must treat the
+// epoch as torn and resume from the previous one, never load a short
+// or zero-filled vector.
+func TestCheckpointLoadRejectsTruncation(t *testing.T) {
+	want := uninterruptedRank(t)
+	fs := vfs.NewMem()
+	killRun(t, fs, 3, 7)
+	full := chunkBytes(t, fs, 6, 0)
+	const header = 72 // magic, version, kind, reserved, 6 int64s, damping, count
+	cuts := map[string][]byte{
+		"empty":            full[:0],
+		"mid-magic":        full[:2],
+		"mid-header":       full[:header-3],
+		"header-only":      full[:header],
+		"mid-rank-vector":  full[:header+(len(full)-header-4)/2],
+		"missing-checksum": full[:len(full)-4],
+		"mid-checksum":     full[:len(full)-2],
+		"trailing-garbage": append(slices.Clone(full), 0),
+	}
+	for _, name := range slices.Sorted(maps.Keys(cuts)) {
+		t.Run(name, func(t *testing.T) {
+			putChunk(t, fs, 6, 0, cuts[name])
+			defer putChunk(t, fs, 6, 0, full)
+			res, err := restartK2K3(restartBase(fs), 100)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkRestart(t, res, 3, 1, want)
+		})
+	}
+}
+
+// TestCheckpointSaveAtomic pins the two-phase epoch write through the
+// pipeline: a committed run leaves no temp files, and a run whose
+// checkpoint storage fails inside its second epoch reports the storage
+// error while the first epoch stays loadable for the restart.
+func TestCheckpointSaveAtomic(t *testing.T) {
+	probe := vfs.NewMem()
+	cfg := restartBase(nil)
+	cfg.PageRank.Iterations = 3
+	cfg.Checkpoint = dist.CheckpointSpec{FS: probe, Every: 3}
+	if _, err := ExecuteContext(context.Background(), cfg); err != nil {
+		t.Fatal(err)
+	}
+	names, err := probe.List()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, name := range names {
 		if strings.HasSuffix(name, ".tmp") {
-			t.Fatalf("temp file %q survived Save", name)
+			t.Fatalf("temp file %q survived a committed epoch", name)
 		}
 	}
-	before := readAll(t, mem, "c.state")
 
-	// A second Save with different content dies mid-write: budget covers
-	// the matrix but runs out inside the state payload.
-	cp2 := &Checkpoint{Matrix: a, Rank: pagerank.InitVector(a.N, 2), CompletedIterations: 7, Damping: 0.85}
-	msize, _ := mem.Size("c.matrix")
-	faulty := vfs.NewFaulty(mem, msize+64).PartialWrites()
-	if err := Save(faulty, "c", cp2); err == nil {
-		t.Fatal("failed save reported success")
+	data, ckfs := vfs.NewMem(), vfs.NewMem()
+	cfg = restartBase(data)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: vfs.NewFaulty(ckfs, probe.TotalBytes()+64).PartialWrites(), Every: 3}
+	if _, err := ExecuteContext(context.Background(), cfg); !errors.Is(err, vfs.ErrInjected) {
+		t.Fatalf("checkpoint storage failure: err = %v, want vfs.ErrInjected", err)
 	}
-	if got := readAll(t, mem, "c.state"); string(got) != string(before) {
-		t.Fatal("failed save clobbered the previous state file")
-	}
-	loaded, err := Load(mem, "c")
+	cfg = restartBase(data)
+	cfg.Checkpoint = dist.CheckpointSpec{FS: ckfs, Every: 3, Resume: true}
+	res, err := ExecuteKernelsContext(context.Background(), cfg, []Kernel{K2Filter, K3PageRank})
 	if err != nil {
-		t.Fatalf("previous checkpoint unloadable after failed save: %v", err)
+		t.Fatal(err)
 	}
-	if loaded.CompletedIterations != 3 {
-		t.Fatalf("loaded iterations %d, want the previous save's 3", loaded.CompletedIterations)
-	}
+	checkRestart(t, res, 3, 0, uninterruptedRank(t))
 }
 
 // TestPipelineCheckpointKillAndResume drives the full pipeline with the

@@ -482,7 +482,7 @@ func (r *Run) stageStats() *CacheStats {
 
 // Context returns the run's cancellation context.  Variants thread it
 // into the distributed runtime and the kernel-3 engines; a Run built
-// without one (the legacy composition path, e.g. the checkpoint example)
+// without one (a variant's kernels driven directly, as Validate does)
 // gets context.Background.
 func (r *Run) Context() context.Context {
 	if r.ctx == nil {

@@ -13,7 +13,6 @@ package pipeline
 import (
 	"repro/internal/dist"
 	"repro/internal/fastio"
-	"repro/internal/xsort"
 )
 
 func init() { Register(distextVariant{}) }
@@ -36,33 +35,7 @@ func (v distextVariant) Kernel1(r *Run) error {
 		// The distributed sort keys on the start vertex only; the (u,v)
 		// ablation falls back to the serial out-of-core external sort,
 		// which honors the same RunEdges memory bound.
-		src, err := fastio.NewStripedSource(r.FS, "k0", r.Codec())
-		if err != nil {
-			return err
-		}
-		defer src.Close()
-		sink, err := fastio.NewStripedSink(r.FS, "k1", r.Codec(), r.Cfg.NFiles, int64(r.Cfg.M()))
-		if err != nil {
-			return err
-		}
-		stats, err := xsort.External(src, sink, xsort.ExternalConfig{
-			FS:        r.FS,
-			TmpPrefix: "tmp/distsort",
-			RunEdges:  r.Cfg.RunEdges,
-			ByUV:      true,
-			Codec:     r.SpillCodec(),
-		})
-		if err != nil {
-			sink.Close()
-			return err
-		}
-		r.Spill = &SpillStats{
-			Codec:        stats.Codec,
-			Runs:         stats.Runs,
-			BytesWritten: stats.Spill.BytesWritten,
-			BytesRead:    stats.Spill.BytesRead,
-		}
-		return sink.Close()
+		return externalSortK1(r, "tmp/distsort", r.Cfg.RunEdges, true)
 	}
 	l, err := fastio.ReadStriped(r.FS, "k0", r.Codec())
 	if err != nil {

@@ -101,6 +101,13 @@ func (extsortVariant) Kernel0(r *Run) error {
 
 // Kernel1 implements Variant.
 func (v extsortVariant) Kernel1(r *Run) error {
+	return externalSortK1(r, "tmp/extsort", v.runEdges(r), r.Cfg.SortEndVertices)
+}
+
+// externalSortK1 streams the k0 stripes through the serial external
+// sort into the k1 stripes, spilling runs of runEdges edges under
+// tmpPrefix, and records the spill traffic in r.Spill.
+func externalSortK1(r *Run, tmpPrefix string, runEdges int, byUV bool) error {
 	src, err := fastio.NewStripedSource(r.FS, "k0", r.Codec())
 	if err != nil {
 		return err
@@ -112,9 +119,9 @@ func (v extsortVariant) Kernel1(r *Run) error {
 	}
 	stats, err := xsort.External(src, sink, xsort.ExternalConfig{
 		FS:        r.FS,
-		TmpPrefix: "tmp/extsort",
-		RunEdges:  v.runEdges(r),
-		ByUV:      r.Cfg.SortEndVertices,
+		TmpPrefix: tmpPrefix,
+		RunEdges:  runEdges,
+		ByUV:      byUV,
 		Codec:     r.SpillCodec(),
 	})
 	if err != nil {

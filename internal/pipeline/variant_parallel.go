@@ -9,7 +9,6 @@ package pipeline
 
 import (
 	"fmt"
-	"io"
 	"runtime"
 	"sync"
 
@@ -145,7 +144,7 @@ func parallelWriteStriped(fs vfs.FS, prefix string, codec fastio.Codec, nfiles i
 		wg.Add(1)
 		go func(i, lo, hi int) {
 			defer wg.Done()
-			errs[i] = writeStripeRange(fs, fastio.StripeName(prefix, codec, i), codec, l, lo, hi)
+			errs[i] = fastio.WriteStripe(fs, fastio.StripeName(prefix, codec, i), codec, l, lo, hi)
 		}(i, lo, hi)
 	}
 	wg.Wait()
@@ -155,23 +154,6 @@ func parallelWriteStriped(fs vfs.FS, prefix string, codec fastio.Codec, nfiles i
 		}
 	}
 	return nil
-}
-
-func writeStripeRange(fs vfs.FS, name string, codec fastio.Codec, l *edge.List, lo, hi int) error {
-	w, err := fs.Create(name)
-	if err != nil {
-		return err
-	}
-	sink := codec.NewWriter(w)
-	if err := fastio.WriteEdges(sink, l, lo, hi); err != nil {
-		w.Close()
-		return err
-	}
-	if err := sink.Flush(); err != nil {
-		w.Close()
-		return err
-	}
-	return w.Close()
 }
 
 // parallelReadStriped reads every stripe concurrently into per-stripe lists
@@ -188,7 +170,8 @@ func parallelReadStriped(fs vfs.FS, prefix string, codec fastio.Codec) (*edge.Li
 		wg.Add(1)
 		go func(i int, name string) {
 			defer wg.Done()
-			parts[i], errs[i] = readOneStripeList(fs, name, codec)
+			parts[i] = edge.NewList(0)
+			errs[i] = fastio.ReadStripe(fs, name, codec, parts[i])
 		}(i, name)
 	}
 	wg.Wait()
@@ -205,24 +188,3 @@ func parallelReadStriped(fs vfs.FS, prefix string, codec fastio.Codec) (*edge.Li
 	}
 	return out, nil
 }
-
-func readOneStripeList(fs vfs.FS, name string, codec fastio.Codec) (*edge.List, error) {
-	r, err := fs.Open(name)
-	if err != nil {
-		return nil, err
-	}
-	defer r.Close()
-	src := codec.NewReader(r)
-	l := edge.NewList(0)
-	for {
-		if _, err := fastio.ReadEdges(src, l, readStripeChunk); err != nil {
-			if err == io.EOF {
-				return l, nil
-			}
-			return nil, err
-		}
-	}
-}
-
-// readStripeChunk is the bulk-read batch size of the parallel stripe reader.
-const readStripeChunk = 16 << 10

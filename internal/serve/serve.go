@@ -299,7 +299,7 @@ func WithResumeKey(key string) RunOption {
 // engines' per-iteration checks and the distributed runtime's teardown
 // plane) with ctx's error.  The Result's Cache field records the
 // per-stage hit/miss interaction.  Results are bit-for-bit those of
-// the one-shot core.Run for the same Config: caching changes who
+// the one-shot core.RunOnce for the same Config: caching changes who
 // computes an artifact, never what is computed.
 func (s *Service) Run(ctx context.Context, cfg pipeline.Config, opts ...RunOption) (*pipeline.Result, error) {
 	rs := runSettings{kernels: []pipeline.Kernel{

@@ -19,7 +19,7 @@ const MaxDim = 1 << 32
 // square matrix, as each internal/dist rank holds — has Rows() == hi-lo,
 // local row i being global row lo+i, over all N columns.  OutDegrees,
 // Compact, ScaleRows, VxM and Validate work on either shape; Transpose,
-// MxV, Dense, WriteTo and ReadCSR assume a square matrix.
+// MxV and Dense assume a square matrix.
 type CSR struct {
 	// N is the column count (the matrix dimension of a square matrix).
 	N int
